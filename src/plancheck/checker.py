@@ -7,6 +7,11 @@ form the synchronous product with the structure, and decide emptiness by nested
 depth-first search.  Structures produced by the plan encoder are tiny chains,
 so generality is worth more here than symbolic scale.
 
+``check`` always takes that automaton path.  ``check_all``, which verifies a
+plan against a rule set, takes it only for branching structures: on a
+structure with a single lasso it evaluates each formula bit-parallel over the
+lasso's positions, and a failing formula's counterexample is the lasso itself.
+
 Also houses the two text emitters: NuSMV-style counterexample traces
 (delta-encoded state blocks) and complete SMV modules for external checking.
 """
@@ -27,6 +32,7 @@ from .logic import (
     LassoTrace,
     LtlFormula,
     Next,
+    NondeterministicStructureError,
     Not,
     Or,
     TrueFormula,
@@ -35,6 +41,7 @@ from .logic import (
     format_formula,
     is_nnf,
     nnf,
+    single_path,
     subformulas,
 )
 
@@ -68,9 +75,6 @@ class BuchiAutomaton:
     initial: frozenset[str]
     accepting: frozenset[str]
     transitions: tuple[tuple[str, Guard, str], ...]
-
-    def outgoing(self, state: str) -> list[tuple[Guard, str]]:
-        return [(g, dst) for src, g, dst in self.transitions if src == state]
 
 
 @dataclass(frozen=True)
@@ -440,8 +444,91 @@ def check(structure: KripkeStructure, formula: LtlFormula, name: str | None = No
 def check_all(
     structure: KripkeStructure, specs: Iterable[tuple[str, LtlFormula]]
 ) -> list[tuple[str, Verdict]]:
-    """Check each named specification in order."""
-    return [(spec_name, check(structure, formula, spec_name)) for spec_name, formula in specs]
+    """Check each named specification in order.
+
+    A structure with a single lasso (every encoder chain) is validated once
+    and each formula is evaluated on that lasso; the verdicts and
+    counterexamples equal those of ``check``.  Any other structure goes
+    through ``check`` formula by formula.
+    """
+    spec_list = list(specs)
+    if not spec_list:
+        return []
+    structure.validate()
+    try:
+        lasso = single_path(structure)
+    except NondeterministicStructureError:
+        return [(spec_name, check(structure, formula, spec_name)) for spec_name, formula in spec_list]
+    evaluator = _LassoEvaluator(lasso, structure.labeling)
+    results = []
+    for spec_name, formula in spec_list:
+        holds = bool(evaluator.mask(formula) & 1)
+        verdict = Verdict(holds, formula, spec_name, None if holds else lasso)
+        results.append((spec_name, verdict))
+    return results
+
+
+# --------------------------------------------------------------------------
+# Lasso evaluation
+# --------------------------------------------------------------------------
+
+class _LassoEvaluator:
+    """LTL on one lasso with every position at once: bit i of a mask is
+    position i of prefix + cycle, and the last position's successor is the
+    first cycle position."""
+
+    def __init__(self, lasso: LassoTrace, labeling):
+        positions = lasso.positions()
+        self.last = len(positions) - 1
+        self.loop = len(lasso.prefix)
+        self.full = (1 << len(positions)) - 1
+        self.cycle = self.full ^ ((1 << self.loop) - 1)
+        atoms: dict[str, int] = {}
+        for i, state in enumerate(positions):
+            for name in labeling[state]:
+                atoms[name] = atoms.get(name, 0) | 1 << i
+        self.atoms = atoms
+
+    def next(self, v: int) -> int:
+        return v >> 1 | (v >> self.loop & 1) << self.last
+
+    def eventually(self, v: int) -> int:
+        # A cycle hit is reachable from everywhere; otherwise only prefix
+        # positions at or before the last hit see one.
+        if v & self.cycle:
+            return self.full
+        return (1 << v.bit_length()) - 1
+
+    def mask(self, node: LtlFormula) -> int:
+        if isinstance(node, Atom):
+            return self.atoms.get(node.name, 0)
+        if isinstance(node, Not):
+            return self.full ^ self.mask(node.operand)
+        if isinstance(node, And):
+            return self.mask(node.left) & self.mask(node.right)
+        if isinstance(node, Or):
+            return self.mask(node.left) | self.mask(node.right)
+        if isinstance(node, Implies):
+            return (self.full ^ self.mask(node.left)) | self.mask(node.right)
+        if isinstance(node, Always):
+            return self.full ^ self.eventually(self.full ^ self.mask(node.operand))
+        if isinstance(node, Eventually):
+            return self.eventually(self.mask(node.operand))
+        if isinstance(node, Next):
+            return self.next(self.mask(node.operand))
+        if isinstance(node, Until):
+            left, right = self.mask(node.left), self.mask(node.right)
+            result = right
+            while True:
+                grown = right | left & self.next(result)
+                if grown == result:
+                    return result
+                result = grown
+        if isinstance(node, TrueFormula):
+            return self.full
+        if isinstance(node, FalseFormula):
+            return 0
+        raise TypeError(f"not a formula node: {node!r}")
 
 
 # --------------------------------------------------------------------------

@@ -70,10 +70,16 @@ class Config:
 
     def validate(self) -> None:
         for label, value in (("t_p", self.t_p), ("t_d", self.t_d)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{label} must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{label} must lie in [0, 1], got {value}")
-        if self.filter_mode not in ("all", "any"):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.filter_mode, str) or self.filter_mode not in ("all", "any"):
             raise ConfigError(f"filter_mode must be 'all' or 'any', got {self.filter_mode!r}")
+        if not isinstance(self.client, dict):
+            raise ConfigError(f"client must be an object, got {self.client!r}")
         for label, path in (("vocabulary", self.vocabulary), ("specs", self.specs)):
             if not Path(path).exists():
                 raise ConfigError(f"{label} file does not exist: {path}")
@@ -87,11 +93,15 @@ def load_config(args: argparse.Namespace) -> Config:
         if not Path(path).exists():
             raise ConfigError(f"config file does not exist: {path}")
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config file must hold a JSON object: {path}")
         for key in ("t_p", "t_d", "filter_mode", "seed", "client"):
             if key in raw:
                 setattr(config, key, raw[key])
         for key in ("vocabulary", "specs", "output_dir"):
             if key in raw:
+                if not isinstance(raw[key], str):
+                    raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
                 setattr(config, key, Path(raw[key]))
     for key in ("vocabulary", "specs"):
         value = getattr(args, key.replace("-", "_"), None)

@@ -9,7 +9,6 @@ here, offline; online scoring is a single ECDF lookup, O(log n).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -139,22 +138,17 @@ def calibrate_decision(
     specs: SpecificationSet,
     vocab: Vocabulary,
     filter_mode: str = "all",
-    max_workers: int | None = None,
 ) -> tuple[NonconformityDistribution, CalibrationReport]:
     """Verify every record and build the score distribution from the passers.
 
     ``filter_mode`` "all" keeps records whose plan satisfies every
     specification (the default, matching the universal prediction-band
-    reading); "any" keeps records satisfying at least one.  Verification can
-    fan out to worker threads; aggregation is order-independent.
+    reading); "any" keeps records satisfying at least one.  Aggregation is
+    order-independent.
     """
     if filter_mode not in FILTER_MODES:
         raise ValueError(f"filter_mode must be one of {FILTER_MODES}, got {filter_mode!r}")
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            assessments = list(pool.map(lambda r: verify_plan(r, specs, vocab), records))
-    else:
-        assessments = [verify_plan(record, specs, vocab) for record in records]
+    assessments = [verify_plan(record, specs, vocab) for record in records]
     scores = [
         1.0 - record.confidence
         for record, assessment in zip(records, assessments)

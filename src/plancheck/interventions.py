@@ -339,6 +339,9 @@ def threshold_sweep(
     """
     if not scenes:
         raise ValueError("scenario corpus is empty")
+    # The verdict depends on the plan and the settled objects, not on the
+    # threshold, so each distinct pair is verified once per call.
+    satisfied: dict[tuple[str, frozenset[str]], bool] = {}
     rows = []
     for t in thresholds:
         if not 0.0 <= t <= 1.0:
@@ -359,14 +362,14 @@ def threshold_sweep(
             u_d = decision_score(scene.confidence, dist_d, mode=score_mode)
             if u_d is None or u_d < t:
                 continue
-            record = PlanRecord(
-                plan=scene.plan,
-                confidence=scene.confidence,
-                observed=scene.observed_objects(settled),
-                task=scene.task,
-            )
-            assessment = verify_plan(record, specs, vocab)
-            executed_ok.append(1.0 if assessment.satisfied_all else 0.0)
+            observed = scene.observed_objects(settled)
+            key = (scene.plan, observed)
+            if key not in satisfied:
+                record = PlanRecord(
+                    plan=scene.plan, confidence=scene.confidence, observed=observed, task=scene.task
+                )
+                satisfied[key] = verify_plan(record, specs, vocab).satisfied_all
+            executed_ok.append(1.0 if satisfied[key] else 0.0)
         rows.append(
             SweepRow(
                 threshold=float(t),

@@ -107,12 +107,15 @@ class Vocabulary:
                     )
                 table[key] = prop.id
         self.surface_table = table
-        # Longest surfaces first so phrase scanning is longest-match-first;
-        # ties broken by declaration order.
-        declared = {key: i for i, key in enumerate(table)}
-        self.surface_index = sorted(
-            table.items(), key=lambda item: (-len(item[0]), declared[item[0]])
-        )
+        # First token -> lengths of the surfaces starting with it, longest
+        # first: phrase scanning looks the table up at each length in turn,
+        # so the longest match wins.
+        starts: dict[str, set[int]] = {}
+        for key in table:
+            starts.setdefault(key[0], set()).add(len(key))
+        self.surface_starts = {
+            word: tuple(sorted(lengths, reverse=True)) for word, lengths in starts.items()
+        }
 
     def __contains__(self, prop_id: str) -> bool:
         return prop_id in self._by_id
@@ -545,10 +548,6 @@ class KripkeStructure:
                 extra = set(labels) - vocab.prop_ids
                 if extra:
                     raise StructureInvariantError(f"labels of {state} outside vocabulary: {sorted(extra)}")
-
-    def successors(self, state: str) -> list[str]:
-        order = {s: i for i, s in enumerate(self.states)}
-        return sorted((dst for src, dst in self.transitions if src == state), key=order.__getitem__)
 
     def successor_map(self) -> dict[str, list[str]]:
         order = {s: i for i, s in enumerate(self.states)}

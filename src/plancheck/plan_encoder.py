@@ -64,11 +64,10 @@ def _tokenize_clauses(text: str) -> tuple[list[str], list[int], list[bool]]:
     clauses: list[int] = []
     negation: list[bool] = []
     for clause_idx, segment in enumerate(_CLAUSE_SPLIT.split(text.lower())):
-        for match in _WORD.finditer(segment):
-            token = match.group(0)
-            negation.append(token in NEGATION_CUES or token.endswith("n't"))
-            words.append(token.replace("'", ""))
-            clauses.append(clause_idx)
+        tokens = _WORD.findall(segment)
+        negation += [token in NEGATION_CUES or token.endswith("n't") for token in tokens]
+        words += [token.replace("'", "") for token in tokens]
+        clauses += [clause_idx] * len(tokens)
     return words, clauses, negation
 
 
@@ -93,14 +92,13 @@ def parse_phrases(
         pos = 0
         while pos < len(words):
             hit = None
-            for key, pid in vocab.surface_index:
-                end = pos + len(key)
-                if (
-                    end <= len(words)
-                    and tuple(words[pos:end]) == key
-                    and clauses[end - 1] == clauses[pos]
-                ):
-                    hit = (len(key), pid)
+            for length in vocab.surface_starts.get(words[pos], ()):
+                end = pos + length
+                if end > len(words) or clauses[end - 1] != clauses[pos]:
+                    continue
+                pid = vocab.surface_table.get(tuple(words[pos:end]))
+                if pid is not None:
+                    hit = (length, pid)
                     break
             if hit is None:
                 pos += 1

@@ -1,0 +1,56 @@
+"""The benchmark's timing shims name attributes the program really has.
+
+``perfbench/tracing.py`` replaces module-level names (``fmdp.check_all``,
+``interventions.verify_plan``, ``checker.ltl_to_buchi`` ...) with timing
+wrappers.  A renamed or removed name would only surface as a crash of the
+traced benchmark run; these tests make it fail here instead.
+"""
+import importlib.util
+from pathlib import Path
+
+import plancheck
+from plancheck import bundled_path
+from plancheck.fmdp import SpecificationSet, load_plan_records
+from plancheck.logic import Vocabulary
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_shim_target_resolves():
+    tracing = load_tracing()
+    targets = tracing.program_targets(plancheck) + tracing.oracle_targets(plancheck)
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _, _ in targets
+        if not callable(getattr(owner, attr, None))
+    ]
+    assert missing == []
+
+
+def test_calibration_crosses_the_traced_layers():
+    tracing = load_tracing()
+    vocab = Vocabulary.load(bundled_path("driving_vocabulary.txt"))
+    specs = SpecificationSet.load(bundled_path("driving_gating_specs.txt"), vocab)
+    records = load_plan_records(bundled_path("driving_decision_calibration.jsonl"))
+    tracer = tracing.Tracer()
+    tracer.install(tracing.program_targets(plancheck))
+    try:
+        plancheck.fmdp.calibrate_decision(records, specs, vocab)
+    finally:
+        tracer.uninstall()
+    names = {span[tracing.NAME] for span in tracer.spans}
+    assert {
+        "fmdp.calibrate_decision",
+        "fmdp.verify_plan",
+        "plan_encoder.encode",
+        "plan_encoder.parse_phrases",
+        "checker.check_all",
+    } <= names
+    assert plancheck.fmdp.verify_plan.__name__ == "verify_plan"  # shims removed

@@ -20,6 +20,7 @@ from plancheck.logic import (
     TRUE,
     Always,
     Atom,
+    Eventually,
     Implies,
     KripkeStructure,
     Not,
@@ -177,8 +178,6 @@ class TestCheck:
             frozenset({("a", "b"), ("a", "c"), ("b", "b"), ("c", "c")}),
             {"a": frozenset(), "b": frozenset({"p"}), "c": frozenset()},
         )
-        from plancheck.logic import Eventually
-
         verdict = check(structure, Eventually(Atom("p")))
         assert not verdict.holds
         assert "c" in verdict.counterexample.cycle
@@ -230,6 +229,83 @@ class TestCheckAll:
         ]
         results = check_all(demo_structure, specs)
         assert results[0][1].holds and not results[1][1].holds
+
+    def test_lasso_path_equals_check_on_random_chains(self):
+        # 250 chains x 4 formulas: whole verdicts, counterexamples included.
+        rng = random.Random(41)
+        failing = 0
+        for _ in range(250):
+            structure = random_chain(rng)
+            specs = [(f"r{k}", random_formula(rng, rng.randint(1, 4))) for k in range(4)]
+            expected = [(name, check(structure, formula, name)) for name, formula in specs]
+            assert check_all(structure, specs) == expected
+            failing += sum(1 for _, verdict in expected if not verdict.holds)
+        assert failing > 100
+
+    def test_lasso_path_equals_check_on_long_cycles(self):
+        # Encoder chains end in a one-state loop; these lassos loop through
+        # up to four states and may have no prefix, so X, F, G and U must
+        # wrap correctly.
+        rng = random.Random(42)
+        for _ in range(150):
+            trace, labeling = random_lasso_labels(rng)
+            positions = trace.positions()
+            transitions = set(zip(positions, positions[1:]))
+            transitions.add((positions[-1], trace.cycle[0]))
+            structure = KripkeStructure(
+                positions, frozenset({positions[0]}), frozenset(transitions), labeling
+            )
+            specs = [(f"r{k}", random_formula(rng, rng.randint(2, 4))) for k in range(2)]
+            expected = [(name, check(structure, formula, name)) for name, formula in specs]
+            assert check_all(structure, specs) == expected
+
+    def test_branching_structure_same_as_check(self):
+        structure = KripkeStructure(
+            ("a", "b", "c"),
+            frozenset({"a"}),
+            frozenset({("a", "b"), ("a", "c"), ("b", "b"), ("c", "c")}),
+            {"a": frozenset(), "b": frozenset({"p"}), "c": frozenset()},
+        )
+        specs = [
+            ("eventually_p", Eventually(Atom("p"))),
+            ("always_not_q", Always(Not(Atom("q")))),
+            ("next_p", parse_formula("X p")),
+        ]
+        results = check_all(structure, specs)
+        assert results == [(name, check(structure, formula, name)) for name, formula in specs]
+        assert not results[0][1].holds and "c" in results[0][1].counterexample.cycle
+
+    def test_two_initial_states_same_as_check(self):
+        structure = KripkeStructure(
+            ("a", "b"),
+            frozenset({"a", "b"}),
+            frozenset({("a", "a"), ("b", "b")}),
+            {"a": frozenset({"p"}), "b": frozenset()},
+        )
+        specs = [("p", Atom("p")), ("always_p", Always(Atom("p")))]
+        assert check_all(structure, specs) == [
+            (name, check(structure, formula, name)) for name, formula in specs
+        ]
+
+    def test_invalid_structure_rejected(self):
+        broken = KripkeStructure(
+            ("a", "b"), frozenset({"a"}), frozenset({("a", "b")}),
+            {"a": frozenset(), "b": frozenset()},
+        )
+        with pytest.raises(Exception, match="left-total"):
+            check_all(broken, [("t", TRUE)])
+
+    def test_criterion_one_calls_the_automaton_path(self):
+        # The oracle test must compare eval_trace with check, not with the
+        # lasso evaluator behind check_all.
+        import inspect
+
+        import test_acceptance
+
+        assert test_acceptance.check is check
+        source = inspect.getsource(test_acceptance)
+        assert "verdict = check(structure, formula)" in source
+        assert "check_all" not in source
 
 
 # ======================== Counterexample text ========================

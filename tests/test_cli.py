@@ -434,6 +434,33 @@ class TestConfigHandling:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"t_p": "0.7"},
+            {"t_d": None},
+            {"t_p": True},
+            {"seed": 1.5},
+            {"seed": "3"},
+            {"filter_mode": ["all"]},
+            {"client": "fixtures.jsonl"},
+            {"specs": 7},
+            ["t_p", 0.7],
+        ],
+    )
+    def test_wrongly_typed_config_value_exits_two(self, capsys, tmp_path, raw):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw))
+        code, out, err = run(
+            capsys,
+            "check",
+            "--config", str(config),
+            "--plan", str(bundled_path("demo_plan.txt")),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["check"])  # --plan is required

@@ -122,12 +122,6 @@ class TestCalibrateDecision:
         assert len(dist) == 1
         assert report.unencodable == 1
 
-    def test_worker_pool_matches_serial(self, driving_vocab, two_specs):
-        records = [PlanRecord("1. Wait.", 0.5 + i / 40, frozenset()) for i in range(10)]
-        serial, _ = calibrate_decision(records, two_specs, driving_vocab)
-        threaded, _ = calibrate_decision(records, two_specs, driving_vocab, max_workers=4)
-        assert serial == threaded
-
     def test_bad_filter_mode(self, driving_vocab, two_specs):
         with pytest.raises(ValueError):
             calibrate_decision(

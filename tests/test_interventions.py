@@ -15,6 +15,7 @@ from plancheck.interventions import (
     NoPairsError,
     Observation,
     ReplayObservationProvider,
+    Scenario,
     active_sense,
     dpo_pairs,
     generate_refinement_dataset,
@@ -359,6 +360,41 @@ class TestThresholdSweep:
         assert len(lines) == 6
         assert lines[1].startswith("0.5,")
         assert lines[5].startswith("0.9,")
+
+    def test_verifies_each_plan_once_per_call(self, sweep_inputs, monkeypatch):
+        import plancheck.interventions as interventions
+
+        scenes, dist_p, dist_d, specs, vocab = sweep_inputs
+        thresholds = [0.5, 0.6, 0.7, 0.8, 0.9]
+        verified = []
+        original = interventions.verify_plan
+
+        def counting(record, specs, vocab):
+            verified.append((record.plan, record.observed))
+            return original(record, specs, vocab)
+
+        monkeypatch.setattr(interventions, "verify_plan", counting)
+        rows = threshold_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab)
+        calls = len(verified)
+        assert calls > 0
+        assert len(set(verified)) == calls
+        # One threshold per call verifies every executed plan again.
+        separate = [threshold_sweep(scenes, [t], dist_p, dist_d, specs, vocab)[0] for t in thresholds]
+        assert len(verified) - calls > calls
+        assert sweep_to_csv(rows) == sweep_to_csv(separate)
+
+    def test_same_plan_verified_per_observed_objects(self, staircase_dist, driving_vocab, gating_specs):
+        # One plan, two object sets: it passes without a pedestrian and
+        # fails G (pedestrian -> wait) with one.
+        observation = observation_with_scores(staircase_dist, [1.0])
+        scenes = [
+            Scenario(f"s{i}", (observation,), "1. Move forward.", 0.95, objects=objects)
+            for i, objects in enumerate([(), ("pedestrian",), ()])
+        ]
+        rows = threshold_sweep(
+            scenes, [0.5, 0.9], staircase_dist, staircase_dist, gating_specs, driving_vocab
+        )
+        assert [row.satisfy_prob for row in rows] == [2 / 3, 2 / 3]
 
     def test_empty_corpus_rejected(self, sweep_inputs):
         _, dist_p, dist_d, specs, vocab = sweep_inputs

@@ -1,16 +1,77 @@
 """Phrase splitting, lexicon matching, negation scope, and chain encoding."""
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DEMO_PLAN
-from plancheck.logic import single_path
+from plancheck.logic import AtomicProposition, Vocabulary, single_path
 from plancheck.plan_encoder import (
     EmptyPlanError,
     NoPhrasesError,
     encode,
     parse_phrases,
 )
+
+# Surfaces nested inside one another, so the longest match often has a
+# shorter one to fall back to.
+NESTED_VOCAB = Vocabulary(
+    [
+        AtomicProposition("move", "move"),
+        AtomicProposition("move_ahead", "move ahead"),
+        AtomicProposition("move_straight_ahead", "move straight ahead"),
+        AtomicProposition("straight", "straight"),
+        AtomicProposition("ahead", "ahead"),
+        AtomicProposition("stop", "stop", ("halt",)),
+        AtomicProposition("stop_sign", "stop sign", ("big stop sign", "stop signs")),
+        AtomicProposition("sign", "sign"),
+    ]
+)
+NOISE = ("the", "then", "at", "for", "big", "now", "here")
+CUES = ("no", "not", "never", "without", "don't", "isn't")
+SEPARATORS = (",", ";", ":")
+
+
+def reference_matches(text, vocab, negation_window):
+    """Brute force: at each token try every surface, longest first."""
+    tokens = [
+        (clause, word)
+        for clause, part in enumerate(re.split(r"[,;:]", text.lower()))
+        for word in re.findall(r"[a-z0-9']+", part)
+    ]
+    surfaces = sorted(vocab.surface_table.items(), key=lambda item: -len(item[0]))
+    matched = []
+    pos = 0
+    while pos < len(tokens):
+        clause = tokens[pos][0]
+        for key, pid in surfaces:
+            span = tokens[pos : pos + len(key)]
+            if (
+                len(span) == len(key)
+                and all(c == clause for c, _ in span)
+                and tuple(w.replace("'", "") for _, w in span) == key
+            ):
+                before = tokens[max(0, pos - negation_window) : pos]
+                negated = any(
+                    c == clause and (w in ("no", "not", "never", "without") or w.endswith("n't"))
+                    for c, w in before
+                )
+                if not negated and pid not in matched:
+                    matched.append(pid)
+                pos += len(key)
+                break
+        else:
+            pos += 1
+    return tuple(matched)
+
+
+def _plan_pieces(vocab):
+    surface_words = sorted({word for key in vocab.surface_table for word in key})
+    word = st.sampled_from(surface_words + list(NOISE) + list(CUES))
+    piece = st.tuples(word, st.sampled_from(("",) * 4 + SEPARATORS))
+    return st.lists(piece, min_size=1, max_size=14)
 
 
 class TestParsePhrases:
@@ -68,6 +129,22 @@ class TestParsePhrases:
     def test_matches_never_cross_clause_boundaries(self, driving_vocab):
         phrases = parse_phrases("1. Stop, sign the form.", driving_vocab)
         assert "stop_sign" not in phrases[0].matched
+
+    def test_longest_surface_crossing_a_comma_falls_back_to_a_shorter_one(self):
+        phrases = parse_phrases("1. Move straight, ahead.", NESTED_VOCAB)
+        assert phrases[0].matched == ("move", "straight", "ahead")
+        phrases = parse_phrases("1. Halt at the big stop, sign here.", NESTED_VOCAB)
+        assert phrases[0].matched == ("stop", "sign")
+
+    @pytest.mark.parametrize("vocab_name", ["nested", "driving"])
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), window=st.integers(0, 5))
+    def test_matches_brute_force_reference(self, driving_vocab, vocab_name, data, window):
+        vocab = NESTED_VOCAB if vocab_name == "nested" else driving_vocab
+        pieces = data.draw(_plan_pieces(vocab))
+        text = " ".join(word + sep for word, sep in pieces) + " now"
+        (phrase,) = parse_phrases(f"1. {text}.", vocab, negation_window=window)
+        assert phrase.matched == reference_matches(text, vocab, window)
 
     def test_alias_soundness(self, driving_vocab):
         plans = [
