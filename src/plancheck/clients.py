@@ -16,9 +16,10 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import count
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -36,7 +37,7 @@ class ClientError(Exception):
 
 
 class TransportError(ClientError):
-    """HTTP failure after exhausting retries."""
+    """HTTP failure that a retry cannot fix, or that outlasted the retries."""
 
 
 class MalformedReplyError(ClientError):
@@ -78,7 +79,6 @@ class ModelQuery:
 class ModelReply:
     plan: str | None
     yes_confidence: float | None
-    raw: dict[str, Any] = field(default_factory=dict)
 
 
 class _AuditLog:
@@ -170,8 +170,12 @@ class HttpModelClient:
         self._session = session or requests.Session()
 
     def request(self, query: ModelQuery) -> dict[str, Any]:
-        last_error: Exception | None = None
-        for attempt in range(1, self.retries + 2):
+        """POST the query; retry server errors, dropped connections and timeouts.
+
+        Any other failure (a 4xx status, a body that is not JSON) would fail
+        the same way again, so it is audited once and raised at once.
+        """
+        for attempt in count(1):
             start = time.monotonic()
             try:
                 with self._slots:
@@ -183,11 +187,19 @@ class HttpModelClient:
                 self._audit.record(query, "ok", time.monotonic() - start, attempt)
                 return reply
             except (requests.RequestException, ValueError) as exc:
-                last_error = exc
                 self._audit.record(query, f"error: {exc}", time.monotonic() - start, attempt)
-                if attempt <= self.retries:
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
-        raise TransportError(f"request failed after {self.retries + 1} attempts: {last_error}")
+                if attempt > self.retries or not _retryable(exc):
+                    raise TransportError(
+                        f"request failed on attempt {attempt} of {self.retries + 1}: {exc}"
+                    ) from exc
+            time.sleep(self.backoff * (2 ** (attempt - 1)))
+
+
+def _retryable(exc: Exception) -> bool:
+    """Server errors, dropped connections and timeouts may pass on a retry."""
+    if isinstance(exc, requests.HTTPError):
+        return exc.response is not None and exc.response.status_code >= 500
+    return isinstance(exc, (requests.ConnectionError, requests.Timeout))
 
 
 def query(client, model_query: ModelQuery) -> ModelReply:
@@ -197,25 +209,25 @@ def query(client, model_query: ModelQuery) -> ModelReply:
         plan = raw.get("plan")
         if not isinstance(plan, str) or not plan.strip():
             raise MalformedReplyError(f"reply is missing the plan field: {raw!r}")
-        return ModelReply(plan=plan, yes_confidence=None, raw=raw)
+        return ModelReply(plan=plan, yes_confidence=None)
     confidence = raw.get("yes_confidence")
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
         raise MalformedReplyError(f"reply is missing the yes_confidence field: {raw!r}")
     if not 0.0 <= float(confidence) <= 1.0:
         raise ConfidenceOutOfRangeError(f"yes_confidence {confidence} outside [0, 1]")
-    return ModelReply(plan=None, yes_confidence=float(confidence), raw=raw)
+    return ModelReply(plan=None, yes_confidence=float(confidence))
 
 
 def query_plan(
     client, image: str, task: str, preamble_id: str = DEFAULT_PREAMBLE
-) -> tuple[str, dict[str, Any]]:
-    """Ask the model for an instruction; returns the text verbatim plus the raw reply."""
+) -> str:
+    """Ask the model for an instruction; returns the text verbatim."""
     if not task.strip():
         raise ValueError("task description must be nonempty")
     reply = query(
         client, ModelQuery(image=image, task=task, mode=PLAN_MODE, preamble_id=preamble_id)
     )
-    return reply.plan, reply.raw
+    return reply.plan
 
 
 def query_satisfaction(

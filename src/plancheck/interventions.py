@@ -142,6 +142,10 @@ class Scenario:
     task: str = ""
     objects: tuple[str, ...] | None = None
 
+    def __post_init__(self):
+        if not self.observations:
+            raise ValueError("a scenario needs at least one observation")
+
     def observed_objects(self, observation: Observation) -> frozenset[str]:
         if self.objects is not None:
             return frozenset(self.objects)
@@ -244,7 +248,7 @@ def generate_refinement_dataset(
             skipped += 1
             continue
         try:
-            plan, _ = query_plan(client, obs.image_id, task)
+            plan = query_plan(client, obs.image_id, task)
             confidence = query_satisfaction(
                 client, plan, specs.text(), image=obs.image_id, task=task
             )
@@ -339,8 +343,15 @@ def threshold_sweep(
     """
     if not scenes:
         raise ValueError("scenario corpus is empty")
-    # The verdict depends on the plan and the settled objects, not on the
-    # threshold, so each distinct pair is verified once per call.
+    # Sensing at t settles on the first observation scoring >= t, or on the
+    # last one, exactly as active_sense with one attempt per observation.
+    # Nothing else depends on the threshold, so per call each image is scored
+    # at most once (lazily, in observation order), and each settled
+    # observation's accuracy, each scene's decision score and each distinct
+    # (plan, settled objects) verdict is computed once.
+    pulled: list[list[float]] = [[] for _ in scenes]
+    accuracy: dict[tuple[int, int], float] = {}
+    u_ds: dict[int, float | None] = {}
     satisfied: dict[tuple[str, frozenset[str]], bool] = {}
     rows = []
     for t in thresholds:
@@ -349,17 +360,25 @@ def threshold_sweep(
         accuracies = []
         extra_observations = []
         executed_ok: list[float] = []
-        for scene in scenes:
-            provider = ReplayObservationProvider(scene.observations)
-            outcome = active_sense(
-                provider, dist_p, t, max_attempts=len(scene.observations), aggregate=aggregate
-            )
-            settled = outcome.observation or scene.observations[outcome.attempts - 1]
-            accuracies.append(_observation_accuracy(settled))
-            extra_observations.append(outcome.attempts - 1)
+        for i, scene in enumerate(scenes):
+            scores = pulled[i]
+            k = next((j for j, score in enumerate(scores) if score >= t), None)
+            while k is None and len(scores) < len(scene.observations):
+                scores.append(image_uncertainty(scene.observations[len(scores)], dist_p, aggregate))
+                if scores[-1] >= t:
+                    k = len(scores) - 1
+            if k is None:
+                k = len(scene.observations) - 1
+            settled = scene.observations[k]
+            if (i, k) not in accuracy:
+                accuracy[i, k] = _observation_accuracy(settled)
+            accuracies.append(accuracy[i, k])
+            extra_observations.append(k)
             if scene.plan is None or scene.confidence is None:
                 continue
-            u_d = decision_score(scene.confidence, dist_d, mode=score_mode)
+            if i not in u_ds:
+                u_ds[i] = decision_score(scene.confidence, dist_d, mode=score_mode)
+            u_d = u_ds[i]
             if u_d is None or u_d < t:
                 continue
             observed = scene.observed_objects(settled)
@@ -394,45 +413,87 @@ def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
 # File formats
 # --------------------------------------------------------------------------
 
-def _observation_from_json(obj: dict, scene_id: str, index: int) -> Observation:
-    detections = tuple(
-        Detection(
-            label_hypothesis=d["label_hypothesis"],
-            probs=tuple(float(p) for p in d["probs"]),
-            true_label=d.get("true_label"),
-        )
-        for d in obj["detections"]
-    )
+_REQUIRED = object()
+_STR, _LIST, _NUMBER = frozenset({str}), frozenset({list}), frozenset({int, float})
+
+
+def _field(obj, key: str, kinds: frozenset, default=_REQUIRED):
+    """``obj[key]``, whose type must be one of ``kinds``; an optional key that
+    is absent or null gives ``default``."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    value = obj.get(key)
+    if value is None:
+        if default is not _REQUIRED:
+            return default
+        if key not in obj:
+            raise ValueError(f"missing {key!r}")
+    if type(value) not in kinds:
+        raise ValueError(f"mistyped {key!r}: {value!r}")
+    return value
+
+
+def _items(obj, key: str, kinds: frozenset, default=_REQUIRED):
+    """A list field whose items' types are all in ``kinds``."""
+    items = _field(obj, key, _LIST, default)
+    if items is not None and not set(map(type, items)) <= kinds:
+        raise ValueError(f"mistyped {key!r}: {items!r}")
+    return items
+
+
+def _observation_from_json(obj, scene_id: str, index: int) -> Observation:
+    detections = []
+    for j, d in enumerate(_field(obj, "detections", _LIST), 1):
+        try:
+            detections.append(
+                Detection(
+                    label_hypothesis=_field(d, "label_hypothesis", _STR),
+                    probs=tuple(map(float, _items(d, "probs", _NUMBER))),
+                    true_label=d.get("true_label"),
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"detection {j}: {exc}") from exc
     return Observation(
         image_id=obj.get("image_id", f"{scene_id}/{index}"),
-        detections=detections,
+        detections=tuple(detections),
         source=obj.get("source", ""),
     )
 
 
+def _scenario_from_json(obj) -> Scenario:
+    scene_id = _field(obj, "scene_id", _STR)
+    observations = []
+    for i, o in enumerate(_field(obj, "observations", _LIST), 1):
+        try:
+            observations.append(_observation_from_json(o, scene_id, i))
+        except ValueError as exc:
+            raise ValueError(f"observation {i}: {exc}") from exc
+    confidence = _field(obj, "confidence", _NUMBER, None)
+    objects = _items(obj, "objects", _STR, None)
+    return Scenario(
+        scene_id=scene_id,
+        observations=tuple(observations),
+        plan=_field(obj, "plan", _STR, None),
+        confidence=float(confidence) if confidence is not None else None,
+        task=_field(obj, "task", _STR, ""),
+        objects=tuple(objects) if objects is not None else None,
+    )
+
+
 def load_scenarios(path: str | Path) -> list[Scenario]:
-    """Read the line-JSON scenario corpus (scene_id, observations, plan script)."""
+    """Read the line-JSON scenario corpus (scene_id, observations, plan script).
+
+    A malformed line raises ValueError naming ``path:lineno``.
+    """
     scenes = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        scene_id = obj["scene_id"]
-        observations = tuple(
-            _observation_from_json(o, scene_id, i) for i, o in enumerate(obj["observations"], 1)
-        )
-        confidence = obj.get("confidence")
-        objects = obj.get("objects")
-        scenes.append(
-            Scenario(
-                scene_id=scene_id,
-                observations=observations,
-                plan=obj.get("plan"),
-                confidence=float(confidence) if confidence is not None else None,
-                task=obj.get("task", ""),
-                objects=tuple(objects) if objects is not None else None,
-            )
-        )
+        try:
+            scenes.append(_scenario_from_json(json.loads(line)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return scenes
 
 

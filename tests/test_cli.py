@@ -212,6 +212,19 @@ class TestSense:
             if outcome["accepted"]:
                 assert outcome["u_p"] >= 0.7
 
+    def test_json_matches_golden(self, capsys, dists):
+        dist_p, _ = dists
+        code, out, _ = run(
+            capsys,
+            "sense",
+            "--scenarios", str(bundled_path("driving_sweep_corpus.jsonl")),
+            "--dist", str(dist_p),
+            "--t-p", "0.7",
+            "--json",
+        )
+        assert code == 0
+        assert out == (DATA / "sense_golden.json").read_text()
+
 
 class TestRefine:
     def test_reproducible_dataset(self, capsys, dists, tmp_path):
@@ -381,6 +394,73 @@ class TestSweep:
             "--json",
         )
         validate(json.loads(out), "sweep")
+
+    def test_matches_golden(self, capsys, dists, tmp_path):
+        dist_p, dist_d = dists
+        target = tmp_path / "sweep.csv"
+        code, out, _ = run(
+            capsys,
+            "sweep",
+            "--specs", str(bundled_path("driving_gating_specs.txt")),
+            "--scenarios", str(bundled_path("driving_sweep_corpus.jsonl")),
+            "--dist-p", str(dist_p),
+            "--dist-d", str(dist_d),
+            "--thresholds",
+            "0,0.05,0.1,0.15,0.2,0.25,0.3,0.35,0.4,0.45,0.5,0.55,0.6,0.65,0.7,0.75,0.8,0.85,0.9,0.95,1",
+            "--output", str(target),
+        )
+        golden = (DATA / "sweep_golden.csv").read_text()
+        assert code == 0
+        assert out == golden
+        assert target.read_text() == golden
+
+
+GOOD_SCENE = {
+    "scene_id": "ok",
+    "observations": [{"detections": [{"label_hypothesis": "car", "probs": [0.9, 0.1]}]}],
+}
+DETECTION = GOOD_SCENE["observations"][0]["detections"][0]
+MALFORMED_SCENES = {
+    "missing scene_id": {"observations": GOOD_SCENE["observations"]},
+    "mistyped scene_id": {**GOOD_SCENE, "scene_id": 7},
+    "missing observations": {"scene_id": "a"},
+    "mistyped observations": {**GOOD_SCENE, "observations": {"detections": []}},
+    "empty observations": {**GOOD_SCENE, "observations": []},
+    "missing detections": {**GOOD_SCENE, "observations": [{"image_id": "i"}]},
+    "mistyped detections": {**GOOD_SCENE, "observations": [{"detections": "car"}]},
+    "missing label_hypothesis": {
+        **GOOD_SCENE, "observations": [{"detections": [{"probs": [0.9, 0.1]}]}]
+    },
+    "mistyped label_hypothesis": {
+        **GOOD_SCENE, "observations": [{"detections": [{**DETECTION, "label_hypothesis": ["car"]}]}]
+    },
+    "missing probs": {
+        **GOOD_SCENE, "observations": [{"detections": [{"label_hypothesis": "car"}]}]
+    },
+    "mistyped probs": {
+        **GOOD_SCENE, "observations": [{"detections": [{**DETECTION, "probs": "0.9 0.1"}]}]
+    },
+    "mistyped probability": {
+        **GOOD_SCENE, "observations": [{"detections": [{**DETECTION, "probs": [0.9, None]}]}]
+    },
+}
+
+
+class TestMalformedScenarios:
+    @pytest.mark.parametrize("command", ["sense", "sweep"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SCENES))
+    def test_exits_two_naming_the_line(self, capsys, dists, tmp_path, command, case):
+        dist_p, dist_d = dists
+        scenarios = tmp_path / "scenes.jsonl"
+        scenarios.write_text(json.dumps(GOOD_SCENE) + "\n" + json.dumps(MALFORMED_SCENES[case]) + "\n")
+        if command == "sense":
+            argv = ["sense", "--dist", str(dist_p)]
+        else:
+            argv = ["sweep", "--dist-p", str(dist_p), "--dist-d", str(dist_d)]
+        code, out, err = run(capsys, *argv, "--scenarios", str(scenarios))
+        assert code == 2
+        assert out == ""
+        assert f"{scenarios}:2: " in err
 
 
 class TestConfigHandling:

@@ -2,6 +2,7 @@
 import json
 
 import pytest
+import requests
 
 from plancheck.clients import (
     ConfidenceOutOfRangeError,
@@ -11,6 +12,7 @@ from plancheck.clients import (
     ModelQuery,
     ReplayModelClient,
     StubModelServer,
+    TransportError,
     load_replay_fixtures,
     query_plan,
     query_satisfaction,
@@ -39,9 +41,8 @@ def replay_client():
 
 class TestReplayClient:
     def test_plan_passthrough(self, replay_client):
-        plan, raw = query_plan(replay_client, "img_007", "turn right at the traffic light")
+        plan = query_plan(replay_client, "img_007", "turn right at the traffic light")
         assert plan == "1. Wait for the light.\n2. Turn right."
-        assert raw["plan"] == plan
 
     def test_satisfaction_passthrough(self, replay_client):
         confidence = query_satisfaction(
@@ -60,7 +61,7 @@ class TestReplayClient:
         first = ReplayModelClient(path)
         second = ReplayModelClient(load_replay_fixtures(path))
         for client in (first, second):
-            plan, _ = query_plan(client, "img_007", "turn right at the traffic light")
+            plan = query_plan(client, "img_007", "turn right at the traffic light")
             assert plan.startswith("1. Wait")
 
     def test_empty_task_rejected(self, replay_client):
@@ -98,7 +99,7 @@ class TestHttpClient:
         with StubModelServer(FIXTURES) as server:
             http_client = HttpModelClient(server.url, timeout=5.0, backoff=0.01)
             for client in (replay_client, http_client):
-                plan, _ = query_plan(client, "img_007", "turn right at the traffic light")
+                plan = query_plan(client, "img_007", "turn right at the traffic light")
                 confidence = query_satisfaction(
                     client, plan, "rules", image="img_007",
                     task="turn right at the traffic light",
@@ -110,7 +111,7 @@ class TestHttpClient:
         audit = tmp_path / "audit.jsonl"
         with StubModelServer(FIXTURES, fail_first=1) as server:
             client = HttpModelClient(server.url, timeout=5.0, backoff=0.01, audit_path=audit)
-            plan, _ = query_plan(client, "img_007", "turn right at the traffic light")
+            plan = query_plan(client, "img_007", "turn right at the traffic light")
             assert plan == FIXTURES[0]["plan"]
         entries = [json.loads(l) for l in audit.read_text().splitlines()]
         assert len(entries) == 2
@@ -119,9 +120,32 @@ class TestHttpClient:
         for entry in entries:
             assert {"ts", "image", "task", "mode", "outcome", "latency_ms", "attempt"} <= set(entry)
 
-    def test_exhausted_retries_raise_transport_error(self):
-        from plancheck.clients import TransportError
+    @pytest.mark.parametrize("fail_first, attempts", [(0, 1), (1, 2)])
+    def test_client_error_is_not_retried(self, tmp_path, monkeypatch, fail_first, attempts):
+        import plancheck.clients as clients
 
+        class CountingSession(requests.Session):
+            posts = 0
+
+            def post(self, *args, **kwargs):
+                self.posts += 1
+                return super().post(*args, **kwargs)
+
+        sleeps = []
+        monkeypatch.setattr(clients.time, "sleep", sleeps.append)
+        audit = tmp_path / "audit.jsonl"
+        session = CountingSession()
+        with StubModelServer(FIXTURES, fail_first=fail_first) as server:
+            client = HttpModelClient(server.url, timeout=5.0, audit_path=audit, session=session)
+            with pytest.raises(TransportError, match="404"):
+                query_plan(client, "missing", "turn right at the traffic light")
+        entries = [json.loads(l) for l in audit.read_text().splitlines()]
+        # A 500 is retried after one backoff; the 404 behind it is final.
+        assert session.posts == len(entries) == attempts
+        assert [e["attempt"] for e in entries] == list(range(1, attempts + 1))
+        assert len(sleeps) == attempts - 1
+
+    def test_exhausted_retries_raise_transport_error(self):
         with StubModelServer(FIXTURES, fail_first=10) as server:
             client = HttpModelClient(server.url, timeout=5.0, retries=1, backoff=0.01)
             with pytest.raises(TransportError):

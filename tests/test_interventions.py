@@ -1,21 +1,26 @@
 """Active sensing, refinement data generation, DPO pairs, and threshold sweeps."""
+import dataclasses
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import detection_with_score, observation_with_scores
 from plancheck import bundled_path
 from plancheck.clients import ReplayModelClient
-from plancheck.conformal import perception_score
-from plancheck.fmdp import PlanRecord, verify_plan
+from plancheck.conformal import perception_score, predict
+from plancheck.fmdp import PlanRecord, decision_score, verify_plan
 from plancheck.interventions import (
     BudgetExhaustedError,
+    Detection,
     DpoPair,
     NoPairsError,
     Observation,
     ReplayObservationProvider,
     Scenario,
+    SweepRow,
     active_sense,
     dpo_pairs,
     generate_refinement_dataset,
@@ -185,7 +190,7 @@ class TestRefinementGeneration:
             # fixture plan; replicate via the fixture table
             from plancheck.clients import query_plan, query_satisfaction
 
-            plan, _ = query_plan(client, obs.image_id, task)
+            plan = query_plan(client, obs.image_id, task)
             confidence = query_satisfaction(client, plan, specs.text(), image=obs.image_id, task=task)
             assessment = verify_plan(
                 PlanRecord(plan, confidence, obs.reported_labels(), task), specs, vocab
@@ -400,6 +405,146 @@ class TestThresholdSweep:
         _, dist_p, dist_d, specs, vocab = sweep_inputs
         with pytest.raises(ValueError):
             threshold_sweep([], [0.5], dist_p, dist_d, specs, vocab)
+
+
+def reference_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab, aggregate="min"):
+    """The sweep as one active_sense run and one verification per scene per threshold."""
+    rows = []
+    for t in thresholds:
+        accuracies, extra, executed_ok = [], [], []
+        for scene in scenes:
+            outcome = active_sense(
+                ReplayObservationProvider(scene.observations), dist_p, t,
+                max_attempts=len(scene.observations), aggregate=aggregate,
+            )
+            settled = outcome.observation or scene.observations[outcome.attempts - 1]
+            scored = [d for d in settled.detections if d.true_label is not None]
+            correct = sum(1 for d in scored if predict(d.probs) == d.true_label)
+            accuracies.append(correct / len(scored) if scored else 0.0)
+            extra.append(outcome.attempts - 1)
+            if scene.plan is None or scene.confidence is None:
+                continue
+            u_d = decision_score(scene.confidence, dist_d)
+            if u_d is None or u_d < t:
+                continue
+            observed = scene.observed_objects(settled)
+            record = PlanRecord(scene.plan, scene.confidence, observed, scene.task)
+            executed_ok.append(1.0 if verify_plan(record, specs, vocab).satisfied_all else 0.0)
+        rows.append(
+            SweepRow(
+                threshold=float(t),
+                accuracy=sum(accuracies) / len(accuracies),
+                as_frequency=sum(extra) / len(extra),
+                satisfy_prob=sum(executed_ok) / len(executed_ok) if executed_ok else float("nan"),
+            )
+        )
+    return rows
+
+
+STAIRCASE = [k / 10 for k in range(11)]
+PLANS = (
+    "1. Wait.",
+    "1. Move forward.",
+    "1. Move forward at the red light.",
+    "1. Watch the pedestrian.\n2. Move forward.",
+)
+
+
+@st.composite
+def sweep_corpora(draw, dist):
+    """1-5 scenes of 1-4 observations with 1-2 detections each, with or without a plan."""
+    corpus = []
+    for i in range(draw(st.integers(1, 5))):
+        observations = []
+        for j in range(draw(st.integers(1, 4))):
+            detections = tuple(
+                dataclasses.replace(
+                    detection_with_score(dist, draw(st.sampled_from(STAIRCASE))),
+                    true_label=draw(st.sampled_from((None, 0, 1))),
+                )
+                for _ in range(draw(st.integers(1, 2)))
+            )
+            observations.append(Observation(f"s{i}/{j}", detections))
+        plan = draw(st.none() | st.sampled_from(PLANS))
+        confidence = draw(st.sampled_from((0.3, 0.5, 0.7, 0.95, 1.0)))
+        objects = draw(st.none() | st.sampled_from(((), ("pedestrian",))))
+        corpus.append(Scenario(f"s{i}", tuple(observations), plan, confidence, objects=objects))
+    return corpus
+
+
+thresholds_with_ends = st.lists(
+    st.sampled_from(STAIRCASE) | st.floats(0.0, 1.0), max_size=6
+).flatmap(lambda ts: st.permutations(ts + [0.0, 1.0]))
+
+
+class TestSweepEquivalence:
+    def test_bundled_corpus_matches_reference(self, sweep_inputs):
+        scenes, dist_p, dist_d, specs, vocab = sweep_inputs
+        thresholds = [round(0.05 * k, 2) for k in range(21)] + [0.73, 0.0, 1.0, 0.5]
+        rows = threshold_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab)
+        expected = reference_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab)
+        assert [repr(r) for r in rows] == [repr(r) for r in expected]
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), aggregate=st.sampled_from(("min", "product")))
+    def test_generated_corpus_matches_reference(
+        self, data, aggregate, staircase_dist, driving_vocab, gating_specs
+    ):
+        corpus = data.draw(sweep_corpora(staircase_dist))
+        thresholds = data.draw(thresholds_with_ends)
+        args = (corpus, thresholds, staircase_dist, staircase_dist, gating_specs, driving_vocab)
+        rows = threshold_sweep(*args, aggregate=aggregate)
+        expected = reference_sweep(*args, aggregate=aggregate)
+        assert [repr(r) for r in rows] == [repr(r) for r in expected]
+
+    def test_scores_each_reached_detection_once(self, sweep_inputs, monkeypatch):
+        import plancheck.interventions as interventions
+
+        scenes, dist_p, dist_d, specs, vocab = sweep_inputs
+        thresholds = [round(0.05 * k, 2) for k in range(21)]
+
+        def pulled(scene, t):
+            outcome = active_sense(
+                ReplayObservationProvider(scene.observations), dist_p, t,
+                max_attempts=len(scene.observations),
+            )
+            return sum(len(obs.detections) for obs in scene.observations[: outcome.attempts])
+
+        # Settling moves forward as the threshold rises, so the highest one
+        # reaches every observation that any threshold reaches.
+        reached = sum(pulled(scene, max(thresholds)) for scene in scenes)
+        per_threshold = sum(pulled(scene, t) for scene in scenes for t in thresholds)
+        with_plan = sum(1 for s in scenes if s.plan is not None and s.confidence is not None)
+        calls = {"perception": [], "decision": 0}
+        original_p, original_d = interventions.perception_score, interventions.decision_score
+
+        def counting_p(probs, dist):
+            calls["perception"].append(id(probs))
+            return original_p(probs, dist)
+
+        def counting_d(*args, **kwargs):
+            calls["decision"] += 1
+            return original_d(*args, **kwargs)
+
+        monkeypatch.setattr(interventions, "perception_score", counting_p)
+        monkeypatch.setattr(interventions, "decision_score", counting_d)
+        threshold_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab)
+        assert len(calls["perception"]) == len(set(calls["perception"])) == reached
+        assert reached < per_threshold
+        assert calls["decision"] == with_plan
+
+    def test_observation_after_universal_pass_is_never_scored(
+        self, staircase_dist, driving_vocab, gating_specs
+    ):
+        passing = observation_with_scores(staircase_dist, [1.0])
+        invalid = Observation("bad", (Detection("car", (0.9, 0.9), true_label=0),))
+        with pytest.raises(ValueError):
+            image_uncertainty(invalid, staircase_dist)
+        scene = Scenario("s", (passing, invalid), "1. Wait.", 0.95)
+        rows = threshold_sweep(
+            [scene], [0.0, 0.5, 1.0], staircase_dist, staircase_dist, gating_specs, driving_vocab
+        )
+        assert [(r.as_frequency, r.satisfy_prob) for r in rows] == [(0.0, 1.0)] * 3
 
 
 class TestScenarioFiles:
