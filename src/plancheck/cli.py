@@ -32,11 +32,13 @@ from .fmdp import (
     CONFIDENCE_GATE,
     PlanRecord,
     SpecificationSet,
+    _plan_record,
     calibrate_decision,
     decision_score,
     load_plan_records,
     verify_plan,
 )
+from .inputs import _STR, _field, numbered_lines
 from .interventions import (
     BudgetExhaustedError,
     ReplayObservationProvider,
@@ -65,7 +67,6 @@ class Config:
     t_d: float = 0.7
     filter_mode: str = "all"
     seed: int = 0
-    output_dir: Path = Path(".")
     client: dict = field(default_factory=dict)
 
     def validate(self) -> None:
@@ -98,7 +99,7 @@ def load_config(args: argparse.Namespace) -> Config:
         for key in ("t_p", "t_d", "filter_mode", "seed", "client"):
             if key in raw:
                 setattr(config, key, raw[key])
-        for key in ("vocabulary", "specs", "output_dir"):
+        for key in ("vocabulary", "specs"):
             if key in raw:
                 if not isinstance(raw[key], str):
                     raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
@@ -197,8 +198,7 @@ def cmd_check(args, config: Config) -> int:
         ]
     }
     _emit(args, payload, text)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+    _write_output(args, text)
     return 1 if any(not v.holds for _, v in results) else 0
 
 
@@ -302,11 +302,8 @@ def cmd_refine(args, config: Config) -> int:
     dist = NonconformityDistribution.load(args.dist)
     scenes = load_scenarios(args.images)
     images = [obs for scene in scenes for obs in scene.observations]
-    tasks = [
-        line.strip()
-        for line in Path(args.tasks).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    with numbered_lines(args.tasks) as lines:
+        tasks = list(lines)
     client = _make_client(config, args)
     exhausted = False
     try:
@@ -346,23 +343,19 @@ def cmd_refine(args, config: Config) -> int:
     return 1 if exhausted else 0
 
 
+def _dpo_record(obj) -> tuple[str, PlanRecord]:
+    """A plan record plus its optional ``image_id``; confidence defaults to 1.0."""
+    return _field(obj, "image_id", _STR, ""), _plan_record(obj, confidence=1.0)
+
+
 def cmd_dpo(args, config: Config) -> int:
     vocab, specs = _load_context(config)
-    assessed = []
-    for line in Path(args.input).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        record = PlanRecord(
-            plan=obj["plan"],
-            confidence=float(obj.get("confidence", 1.0)),
-            observed=frozenset(obj.get("objects", ())),
-            task=obj.get("task", ""),
-        )
-        assessed.append(
-            (obj.get("image_id", ""), record.task, record.plan, verify_plan(record, specs, vocab))
-        )
-    pairs = dpo_pairs(assessed)
+    with numbered_lines(args.input) as lines:
+        records = [_dpo_record(json.loads(line)) for line in lines]
+    pairs = dpo_pairs(
+        (image_id, record.task, record.plan, verify_plan(record, specs, vocab))
+        for image_id, record in records
+    )
     save_dpo_pairs(args.output, pairs)
     payload = {"pairs": len(pairs), "output": str(args.output)}
     _emit(args, payload, f"wrote {len(pairs)} preference pairs -> {args.output}\n")
@@ -381,8 +374,8 @@ def cmd_export_smv(args, config: Config) -> int:
 
 
 def cmd_qq(args, config: Config) -> int:
-    sample_a = [float(l) for l in Path(args.a).read_text(encoding="utf-8").split()]
-    sample_b = [float(l) for l in Path(args.b).read_text(encoding="utf-8").split()]
+    sample_a = NonconformityDistribution.load(args.a).scores
+    sample_b = NonconformityDistribution.load(args.b).scores
     points = qq_points(sample_a, sample_b, args.points)
     csv = "quantile_a,quantile_b\n" + "\n".join(f"{x:.6f},{y:.6f}" for x, y in points) + "\n"
     _emit(args, {"points": [[x, y] for x, y in points]}, csv)
@@ -518,7 +511,7 @@ def main(argv=None) -> int:
     except ClientError as exc:
         print(f"client error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

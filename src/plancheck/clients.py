@@ -25,6 +25,8 @@ from typing import Any, Iterable
 
 import requests
 
+from .inputs import _STR, _field, numbered_lines
+
 PLAN_MODE = "plan"
 SATISFACTION_MODE = "satisfaction"
 DEFAULT_PREAMBLE = "driving-v1"
@@ -75,12 +77,6 @@ class ModelQuery:
         return body
 
 
-@dataclass(frozen=True)
-class ModelReply:
-    plan: str | None
-    yes_confidence: float | None
-
-
 class _AuditLog:
     """Line-JSON audit trail; appends are serialized."""
 
@@ -105,24 +101,17 @@ class _AuditLog:
                 handle.write(json.dumps(entry) + "\n")
 
 
-def fixture_key(image: str, task: str, mode: str) -> tuple[str, str, str]:
-    return (image, task, mode)
-
-
 def load_replay_fixtures(path: str | Path) -> list[dict[str, Any]]:
-    records = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            records.append(json.loads(line))
-    return records
+    """Read the line-JSON fixture file; only the key fields are checked here,
+    the reply fields are checked per query like any model reply."""
+    with numbered_lines(path) as lines:
+        return [_fixture(json.loads(line)) for line in lines]
 
 
-def _fixture_table(records: Iterable[dict[str, Any]]) -> dict[tuple[str, str, str], dict[str, Any]]:
-    table = {}
-    for record in records:
-        key = fixture_key(record["image"], record["task"], record["mode"])
-        table[key] = record
-    return table
+def _fixture(obj) -> dict[str, Any]:
+    for key in ("image", "task", "mode"):
+        _field(obj, key, _STR)
+    return obj
 
 
 class ReplayModelClient:
@@ -130,15 +119,13 @@ class ReplayModelClient:
 
     def __init__(self, fixtures: str | Path | Iterable[dict[str, Any]], audit_path: str | Path | None = None):
         if isinstance(fixtures, (str, Path)):
-            records = load_replay_fixtures(fixtures)
-        else:
-            records = list(fixtures)
-        self._table = _fixture_table(records)
+            fixtures = load_replay_fixtures(fixtures)
+        self._table = {(f["image"], f["task"], f["mode"]): f for f in fixtures}
         self._audit = _AuditLog(audit_path)
 
     def request(self, query: ModelQuery) -> dict[str, Any]:
         start = time.monotonic()
-        key = fixture_key(query.image, query.task, query.mode)
+        key = (query.image, query.task, query.mode)
         record = self._table.get(key)
         if record is None:
             self._audit.record(query, "fixture-miss", time.monotonic() - start, attempt=1)
@@ -202,32 +189,17 @@ def _retryable(exc: Exception) -> bool:
     return isinstance(exc, (requests.ConnectionError, requests.Timeout))
 
 
-def query(client, model_query: ModelQuery) -> ModelReply:
-    """Send a query through any client and validate the reply for its mode."""
-    raw = client.request(model_query)
-    if model_query.mode == PLAN_MODE:
-        plan = raw.get("plan")
-        if not isinstance(plan, str) or not plan.strip():
-            raise MalformedReplyError(f"reply is missing the plan field: {raw!r}")
-        return ModelReply(plan=plan, yes_confidence=None)
-    confidence = raw.get("yes_confidence")
-    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-        raise MalformedReplyError(f"reply is missing the yes_confidence field: {raw!r}")
-    if not 0.0 <= float(confidence) <= 1.0:
-        raise ConfidenceOutOfRangeError(f"yes_confidence {confidence} outside [0, 1]")
-    return ModelReply(plan=None, yes_confidence=float(confidence))
-
-
 def query_plan(
     client, image: str, task: str, preamble_id: str = DEFAULT_PREAMBLE
 ) -> str:
     """Ask the model for an instruction; returns the text verbatim."""
     if not task.strip():
         raise ValueError("task description must be nonempty")
-    reply = query(
-        client, ModelQuery(image=image, task=task, mode=PLAN_MODE, preamble_id=preamble_id)
-    )
-    return reply.plan
+    raw = client.request(ModelQuery(image=image, task=task, mode=PLAN_MODE, preamble_id=preamble_id))
+    plan = raw.get("plan") if isinstance(raw, dict) else None
+    if not isinstance(plan, str) or not plan.strip():
+        raise MalformedReplyError(f"reply is missing the plan field: {raw!r}")
+    return plan
 
 
 def query_satisfaction(
@@ -241,8 +213,7 @@ def query_satisfaction(
     """Ask whether the plan satisfies the rules; returns the yes-confidence."""
     if not plan.strip():
         raise ValueError("plan must be nonempty")
-    reply = query(
-        client,
+    raw = client.request(
         ModelQuery(
             image=image,
             task=task,
@@ -250,9 +221,14 @@ def query_satisfaction(
             plan=plan,
             specs_text=specs_text,
             preamble_id=preamble_id,
-        ),
+        )
     )
-    return reply.yes_confidence
+    confidence = raw.get("yes_confidence") if isinstance(raw, dict) else None
+    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+        raise MalformedReplyError(f"reply is missing the yes_confidence field: {raw!r}")
+    if not 0.0 <= float(confidence) <= 1.0:
+        raise ConfidenceOutOfRangeError(f"yes_confidence {confidence} outside [0, 1]")
+    return float(confidence)
 
 
 class StubModelServer:
@@ -264,34 +240,27 @@ class StubModelServer:
     """
 
     def __init__(self, fixtures: str | Path | Iterable[dict[str, Any]], fail_first: int = 0):
-        if isinstance(fixtures, (str, Path)):
-            records = load_replay_fixtures(fixtures)
-        else:
-            records = list(fixtures)
-        table = _fixture_table(records)
-        failures: dict[tuple[str, str, str], int] = {}
-        fails_budget = fail_first
+        client = ReplayModelClient(fixtures)
+        failures: dict[ModelQuery, int] = {}
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):  # noqa: N802 (http.server API)
                 length = int(self.headers.get("Content-Length", "0"))
                 payload = json.loads(self.rfile.read(length) or b"{}")
-                key = fixture_key(
+                query = ModelQuery(
                     payload.get("image", ""), payload.get("task", ""), payload.get("mode", "")
                 )
-                if failures.get(key, 0) < fails_budget:
-                    failures[key] = failures.get(key, 0) + 1
+                if failures.get(query, 0) < fail_first:
+                    failures[query] = failures.get(query, 0) + 1
                     self.send_response(500)
                     self.end_headers()
                     return
-                record = table.get(key)
-                if record is None:
-                    body = json.dumps({"error": f"no fixture for {key!r}"}).encode()
-                    self.send_response(404)
-                else:
-                    reply = {k: v for k, v in record.items() if k in ("plan", "yes_confidence")}
-                    body = json.dumps(reply).encode()
+                try:
+                    body = json.dumps(client.request(query)).encode()
                     self.send_response(200)
+                except FixtureMissError as exc:
+                    body = json.dumps({"error": str(exc)}).encode()
+                    self.send_response(404)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(body)))
                 self.end_headers()

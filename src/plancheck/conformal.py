@@ -14,6 +14,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .inputs import numbered_lines
+
 
 class EmptyCalibrationError(ValueError):
     """No calibration samples / scores supplied."""
@@ -68,17 +70,24 @@ class PerceptionSample:
             )
 
 
+def _score(value) -> float:
+    score = float(value)
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"nonconformity score {score} outside [0, 1]")
+    return score
+
+
 class NonconformityDistribution:
     """Sorted nonconformity scores with ECDF and finite-sample quantile."""
 
     __slots__ = ("_scores",)
 
     def __init__(self, scores: Iterable[float]):
-        arr = np.asarray(list(scores), dtype=float)
+        # Checked one at a time, so that a bad score read from a file is
+        # reported with its line.
+        arr = np.fromiter(map(_score, scores), dtype=float)
         if arr.size == 0:
             raise EmptyCalibrationError("a nonconformity distribution needs at least one score")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise ValueError("nonconformity scores must lie in [0, 1]")
         arr = np.sort(arr)
         arr.setflags(write=False)
         self._scores = arr
@@ -126,8 +135,9 @@ class NonconformityDistribution:
 
     @classmethod
     def load(cls, path: str | Path) -> "NonconformityDistribution":
-        lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines() if l.strip()]
-        return cls(float(l) for l in lines)
+        """Read one score per line."""
+        with numbered_lines(path) as lines:
+            return cls(lines)
 
 
 def perception_nonconformity(samples: Sequence[PerceptionSample]) -> NonconformityDistribution:
@@ -183,27 +193,26 @@ def qq_points(
 
 def load_perception_calibration(path: str | Path) -> list[PerceptionSample]:
     """Read the calibration file: a ``k = <int>`` header, then one record per
-    line as ``image_id, true_label_index, p0 p1 ... p(k-1)``."""
-    lines = [
-        line.strip()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not lines:
-        raise EmptyCalibrationError(f"no content in {path}")
-    header = lines[0].replace(" ", "")
-    if not header.startswith("k="):
-        raise ValueError(f"{path}: first line must declare the class count as 'k = <int>'")
-    k = int(header[2:])
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 'image_id, label, p0 p1 ...'")
-        probs = tuple(float(p) for p in fields[2].split())
-        if len(probs) != k:
-            raise ValueError(f"{path}:{lineno}: expected {k} probabilities, got {len(probs)}")
-        samples.append(PerceptionSample(fields[0], int(fields[1]), probs))
+    line as ``image_id, true_label_index, p0 p1 ... p(k-1)``; ``#`` starts a
+    comment line."""
+    k, samples = None, []
+    with numbered_lines(path) as lines:
+        for line in lines:
+            if line.startswith("#"):
+                continue
+            if k is None:
+                header = line.replace(" ", "")
+                if not header.startswith("k="):
+                    raise ValueError("first line must declare the class count as 'k = <int>'")
+                k = int(header[2:])
+                continue
+            fields = [f.strip() for f in line.split(",")]
+            if len(fields) != 3:
+                raise ValueError("expected 'image_id, label, p0 p1 ...'")
+            probs = tuple(float(p) for p in fields[2].split())
+            if len(probs) != k:
+                raise ValueError(f"expected {k} probabilities, got {len(probs)}")
+            samples.append(PerceptionSample(fields[0], int(fields[1]), probs))
     if not samples:
         raise EmptyCalibrationError(f"no calibration records in {path}")
     return samples

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .checker import Verdict, check_all
 from .conformal import EmptyCalibrationError, NonconformityDistribution
+from .inputs import _NUMBER, _REQUIRED, _STR, _field, _items, numbered_lines
 from .logic import LtlFormula, Vocabulary, load_specifications
 from .plan_encoder import EmptyPlanError, NoPhrasesError, encode
 
@@ -195,22 +196,17 @@ def execution_gate(u_d: float, t_d: float) -> bool:
     return u_d >= t_d
 
 
+def _plan_record(obj, confidence=_REQUIRED) -> PlanRecord:
+    """One decoded record line; an absent or null confidence takes ``confidence``, if given."""
+    return PlanRecord(
+        plan=_field(obj, "plan", _STR),
+        confidence=float(_field(obj, "confidence", _NUMBER, confidence)),
+        observed=frozenset(_items(obj, "objects", _STR, ())),
+        task=_field(obj, "task", _STR, ""),
+    )
+
+
 def load_plan_records(path: str | Path) -> list[PlanRecord]:
     """Read the line-JSON calibration file: task, plan, confidence, objects."""
-    records = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        try:
-            records.append(
-                PlanRecord(
-                    plan=obj["plan"],
-                    confidence=float(obj["confidence"]),
-                    observed=frozenset(obj.get("objects", ())),
-                    task=obj.get("task", ""),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc}") from exc
-    return records
+    with numbered_lines(path) as lines:
+        return [_plan_record(json.loads(line)) for line in lines]

@@ -22,8 +22,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .clients import ClientError, query_plan, query_satisfaction
-from .conformal import NonconformityDistribution, perception_score, predict
+from .conformal import NonconformityDistribution, perception_score
 from .fmdp import DecisionAssessment, PlanRecord, SpecificationSet, decision_score, verify_plan
+from .inputs import _INT, _LIST, _NUMBER, _STR, _field, _items, numbered_lines
 from .logic import Vocabulary
 
 AGGREGATES = ("min", "product")
@@ -315,11 +316,12 @@ def dpo_pairs(
 
 
 def _observation_accuracy(obs: Observation) -> float:
-    """Fraction of detections whose top class is the true class."""
+    """Fraction of detections whose top class (the lowest on ties) is the true
+    class; only for observations already scored, which validated every ``probs``."""
     scored = [d for d in obs.detections if d.true_label is not None]
     if not scored:
         return 0.0
-    correct = sum(1 for d in scored if predict(d.probs) == d.true_label)
+    correct = sum(1 for d in scored if d.probs.index(max(d.probs)) == d.true_label)
     return correct / len(scored)
 
 
@@ -413,51 +415,22 @@ def sweep_to_csv(rows: Iterable[SweepRow]) -> str:
 # File formats
 # --------------------------------------------------------------------------
 
-_REQUIRED = object()
-_STR, _LIST, _NUMBER = frozenset({str}), frozenset({list}), frozenset({int, float})
-
-
-def _field(obj, key: str, kinds: frozenset, default=_REQUIRED):
-    """``obj[key]``, whose type must be one of ``kinds``; an optional key that
-    is absent or null gives ``default``."""
-    if type(obj) is not dict:
-        raise ValueError(f"expected a JSON object, got {obj!r}")
-    value = obj.get(key)
-    if value is None:
-        if default is not _REQUIRED:
-            return default
-        if key not in obj:
-            raise ValueError(f"missing {key!r}")
-    if type(value) not in kinds:
-        raise ValueError(f"mistyped {key!r}: {value!r}")
-    return value
-
-
-def _items(obj, key: str, kinds: frozenset, default=_REQUIRED):
-    """A list field whose items' types are all in ``kinds``."""
-    items = _field(obj, key, _LIST, default)
-    if items is not None and not set(map(type, items)) <= kinds:
-        raise ValueError(f"mistyped {key!r}: {items!r}")
-    return items
-
-
 def _observation_from_json(obj, scene_id: str, index: int) -> Observation:
     detections = []
     for j, d in enumerate(_field(obj, "detections", _LIST), 1):
         try:
-            detections.append(
-                Detection(
-                    label_hypothesis=_field(d, "label_hypothesis", _STR),
-                    probs=tuple(map(float, _items(d, "probs", _NUMBER))),
-                    true_label=d.get("true_label"),
-                )
-            )
+            label = _field(d, "label_hypothesis", _STR)
+            probs = tuple(map(float, _items(d, "probs", _NUMBER)))
+            true_label = _field(d, "true_label", _INT, None)
+            if true_label is not None and not 0 <= true_label < len(probs):
+                raise ValueError(f"true_label {true_label} out of range for {len(probs)} classes")
+            detections.append(Detection(label, probs, true_label))
         except ValueError as exc:
             raise ValueError(f"detection {j}: {exc}") from exc
     return Observation(
-        image_id=obj.get("image_id", f"{scene_id}/{index}"),
+        image_id=_field(obj, "image_id", _STR, f"{scene_id}/{index}"),
         detections=tuple(detections),
-        source=obj.get("source", ""),
+        source=_field(obj, "source", _STR, ""),
     )
 
 
@@ -486,15 +459,8 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
 
     A malformed line raises ValueError naming ``path:lineno``.
     """
-    scenes = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            scenes.append(_scenario_from_json(json.loads(line)))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-    return scenes
+    with numbered_lines(path) as lines:
+        return [_scenario_from_json(json.loads(line)) for line in lines]
 
 
 def save_refinement_dataset(path: str | Path, data: Iterable[RefinementDatum]) -> None:

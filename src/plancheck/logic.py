@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from .inputs import numbered_lines
+
 ID_PATTERN = re.compile(r"[a-z][a-z0-9_]*\Z")
 _WORD = re.compile(r"[a-z0-9']+")
 
@@ -149,20 +151,21 @@ class Vocabulary:
         props: list[AtomicProposition] = []
         objects: list[str] = []
         in_objects = False
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.lower() == "[objects]":
-                in_objects = True
-                continue
-            if in_objects:
-                objects.append(line)
-                continue
-            head, _, tail = line.partition(":")
-            pid = head.strip()
-            aliases = tuple(a.strip() for a in tail.split(";") if a.strip())
-            props.append(AtomicProposition(pid, pid.replace("_", " "), aliases))
+        with numbered_lines(path) as lines:
+            for raw in lines:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if line.lower() == "[objects]":
+                    in_objects = True
+                    continue
+                if in_objects:
+                    objects.append(line)
+                    continue
+                head, _, tail = line.partition(":")
+                pid = head.strip()
+                aliases = tuple(a.strip() for a in tail.split(";") if a.strip())
+                props.append(AtomicProposition(pid, pid.replace("_", " "), aliases))
         return cls(props, objects)
 
 
@@ -692,16 +695,17 @@ def load_specifications(path: str | Path, vocab: Vocabulary | None = None) -> li
     """Read a specification file: one ``name: formula`` per line, ``#`` comments."""
     pairs: list[tuple[str, LtlFormula]] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, sep, text = line.partition(":")
-        name = name.strip()
-        if not sep or not name:
-            raise ValueError(f"{path}:{lineno}: expected 'name: formula'")
-        if name in names:
-            raise ValueError(f"{path}:{lineno}: duplicate specification name {name!r}")
-        names.add(name)
-        pairs.append((name, parse_formula(text, vocab)))
+    with numbered_lines(path) as lines:
+        for raw in lines:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            name, sep, text = line.partition(":")
+            name = name.strip()
+            if not sep or not name:
+                raise ValueError("expected 'name: formula'")
+            if name in names:
+                raise ValueError(f"duplicate specification name {name!r}")
+            names.add(name)
+            pairs.append((name, parse_formula(text, vocab)))
     return pairs

@@ -443,6 +443,18 @@ MALFORMED_SCENES = {
     "mistyped probability": {
         **GOOD_SCENE, "observations": [{"detections": [{**DETECTION, "probs": [0.9, None]}]}]
     },
+    **{
+        f"true_label {label!r}": {
+            **GOOD_SCENE, "observations": [{"detections": [{**DETECTION, "true_label": label}]}]
+        }
+        for label in ("0", True, 9, -1, 1.5)
+    },
+    "mistyped image_id": {
+        **GOOD_SCENE, "observations": [{**GOOD_SCENE["observations"][0], "image_id": 7}]
+    },
+    "mistyped source": {
+        **GOOD_SCENE, "observations": [{**GOOD_SCENE["observations"][0], "source": ["cam"]}]
+    },
 }
 
 

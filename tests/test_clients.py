@@ -94,6 +94,36 @@ class TestValidation:
             query_satisfaction(client, "1. Wait.", "rules", image="i", task="t")
 
 
+    @pytest.mark.parametrize("reply", [["1. Wait."], "1. Wait.", None])
+    def test_reply_that_is_not_an_object(self, reply):
+        class ListClient:
+            def request(self, query):
+                return reply
+
+        with pytest.raises(MalformedReplyError):
+            query_plan(ListClient(), "i", "t")
+        with pytest.raises(MalformedReplyError):
+            query_satisfaction(ListClient(), "1. Wait.", "rules", image="i", task="t")
+
+
+class TestFixtureFile:
+    def test_reply_fields_are_not_checked_at_load(self, tmp_path):
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text(json.dumps({"image": "i", "task": "t", "mode": "plan", "plan": 5}) + "\n")
+        assert load_replay_fixtures(path) == [{"image": "i", "task": "t", "mode": "plan", "plan": 5}]
+        with pytest.raises(MalformedReplyError):
+            query_plan(ReplayModelClient(path), "i", "t")
+
+    @pytest.mark.parametrize("key", ["image", "task", "mode"])
+    def test_key_field_checked_at_load(self, tmp_path, key):
+        fixture = {"image": "i", "task": "t", "mode": "plan", "plan": "1. Wait."}
+        path = tmp_path / "fixtures.jsonl"
+        path.write_text(json.dumps(fixture) + "\n\n" + json.dumps({**fixture, key: 7}) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_replay_fixtures(path)
+        assert str(info.value).startswith(f"{path}:3: mistyped '{key}'")
+
+
 class TestHttpClient:
     def test_equivalent_to_replay_on_same_fixtures(self, replay_client):
         with StubModelServer(FIXTURES) as server:

@@ -546,6 +546,16 @@ class TestSweepEquivalence:
         )
         assert [(r.as_frequency, r.satisfy_prob) for r in rows] == [(0.0, 1.0)] * 3
 
+    def test_accuracy_breaks_ties_like_predict(self, staircase_dist, driving_vocab, gating_specs):
+        probs = (0.25, 0.375, 0.375)
+        assert predict(probs) == 1
+        detections = tuple(Detection("car", probs, true_label=label) for label in (1, 2, 1, 0))
+        scene = Scenario("s", (Observation("tie", detections),))
+        rows = threshold_sweep(
+            [scene], [0.0, 1.0], staircase_dist, staircase_dist, gating_specs, driving_vocab
+        )
+        assert [r.accuracy for r in rows] == [0.5, 0.5]
+
 
 class TestScenarioFiles:
     def test_objects_override(self, tmp_path):
