@@ -94,194 +94,162 @@ class Verdict:
 _TEMPORAL = (Next, Until, Always, Eventually)
 
 
-def _elementary(formula: LtlFormula) -> list[LtlFormula]:
-    """Atoms and temporal subformulas in preorder; these determine a tableau state."""
-    return [f for f in subformulas(formula) if isinstance(f, (Atom, *_TEMPORAL))]
+def _bits(s: int) -> list[int]:
+    """Positions of the set bits of ``s``, ascending."""
+    out = []
+    while s:
+        low = s & -s
+        out.append(low.bit_length() - 1)
+        s ^= low
+    return out
 
 
 class _Tableau:
-    """States are truth assignments over the elementary subformulas."""
+    """States are truth assignments (masks) over the elementary subformulas,
+    the atoms and temporal subformulas in preorder.
+
+    Each subformula is held as its truth table over all masks: one int whose
+    bit m is set iff the subformula holds at mask m.  The connectives are int
+    operations on tables, and a set of masks is one int as well.
+    """
 
     def __init__(self, formula: LtlFormula):
-        self.formula = formula
-        self.elementary = _elementary(formula)
-        self.bit = {f: i for i, f in enumerate(self.elementary)}
-        self.atom_bits = [i for i, f in enumerate(self.elementary) if isinstance(f, Atom)]
-        self.temporals = [f for f in self.elementary if isinstance(f, _TEMPORAL)]
-        self._ev_cache: dict[tuple[LtlFormula, int], bool] = {}
-        self.masks = [m for m in range(1 << len(self.elementary)) if self._locally_consistent(m)]
-        self.initial = [m for m in self.masks if self.ev(formula, m)]
-        self._restrict_reachable()
+        closure = subformulas(formula)
+        self.closure_size = len(closure)
+        elementary = [f for f in closure if isinstance(f, (Atom, *_TEMPORAL))]
+        width = 1 << len(elementary)
+        full = self.full = (1 << width) - 1
+        # Bit i of the mask, over all masks: runs of 2^i zeros then 2^i ones.
+        self.tables: dict[LtlFormula, int] = {
+            f: ((1 << (2 << i)) - (1 << (1 << i))) * (full // ((1 << (2 << i)) - 1))
+            for i, f in enumerate(elementary)
+        }
+        self.atoms = [(i, f.name) for i, f in enumerate(elementary) if isinstance(f, Atom)]
+        self.atom_bits = sum(1 << i for i, _ in self.atoms)
+        self._guards: dict[int, Guard] = {}
+        # ``bad``: masks that break an obligation of a fixpoint expansion that
+        # does not mention the successor.  ``steps``, one per temporal: at the
+        # source masks in ``opened`` the expansion leaves it to the successor,
+        # which must then agree on ``column`` with the source's own bit.
+        self.steps: list[tuple[int, int, int, int]] = []
+        # One acceptance set per Until/Eventually, in subformula order: masks
+        # where the obligation is absent or already discharged.
+        self.acceptance: list[int] = []
+        bad = 0
+        for bit, t in enumerate(elementary):
+            if not isinstance(t, _TEMPORAL):
+                continue
+            held = self.tables[t]
+            if isinstance(t, Next):
+                opened, column = full, self.table(t.operand)
+            elif isinstance(t, Until):
+                left, right = self.table(t.left), self.table(t.right)
+                bad |= held & ~(left | right) | ~held & right
+                opened, column = left & ~right, held
+                self.acceptance.append(full & ~held | right)
+            else:
+                operand = self.table(t.operand)
+                if isinstance(t, Always):
+                    bad |= held & ~operand
+                    opened, column = operand, held
+                else:
+                    bad |= ~held & operand
+                    opened, column = full & ~operand, held
+                    self.acceptance.append(full & ~held | operand)
+            self.steps.append((bit, opened, column, full & ~column))
+        self.consistent = full & ~bad
+        self.initial = _bits(self.consistent & self.table(formula))
 
-    def ev(self, node: LtlFormula, mask: int) -> bool:
-        bit = self.bit.get(node)
-        if bit is not None:
-            return bool(mask >> bit & 1)
-        key = (node, mask)
-        cached = self._ev_cache.get(key)
-        if cached is not None:
-            return cached
-        if isinstance(node, TrueFormula):
-            value = True
-        elif isinstance(node, FalseFormula):
-            value = False
-        elif isinstance(node, Not):
-            value = not self.ev(node.operand, mask)
-        elif isinstance(node, And):
-            value = self.ev(node.left, mask) and self.ev(node.right, mask)
-        elif isinstance(node, Or):
-            value = self.ev(node.left, mask) or self.ev(node.right, mask)
-        elif isinstance(node, Implies):
-            value = (not self.ev(node.left, mask)) or self.ev(node.right, mask)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        self._ev_cache[key] = value
+    def table(self, node: LtlFormula) -> int:
+        value = self.tables.get(node)
+        if value is None:
+            if isinstance(node, TrueFormula):
+                value = self.full
+            elif isinstance(node, FalseFormula):
+                value = 0
+            elif isinstance(node, Not):
+                value = self.full & ~self.table(node.operand)
+            elif isinstance(node, And):
+                value = self.table(node.left) & self.table(node.right)
+            elif isinstance(node, Or):
+                value = self.table(node.left) | self.table(node.right)
+            elif isinstance(node, Implies):
+                value = self.full & ~self.table(node.left) | self.table(node.right)
+            else:
+                raise TypeError(f"not a formula node: {node!r}")
+            self.tables[node] = value
         return value
 
-    def _locally_consistent(self, mask: int) -> bool:
-        # Obligations implied by the fixpoint expansions that do not mention
-        # the successor state.
-        for t in self.temporals:
-            held = bool(mask >> self.bit[t] & 1)
-            if isinstance(t, Until):
-                if held and not (self.ev(t.right, mask) or self.ev(t.left, mask)):
-                    return False
-                if not held and self.ev(t.right, mask):
-                    return False
-            elif isinstance(t, Always):
-                if held and not self.ev(t.operand, mask):
-                    return False
-            elif isinstance(t, Eventually):
-                if not held and self.ev(t.operand, mask):
-                    return False
-        return True
-
-    def successors(self, mask: int) -> list[int]:
-        out = []
-        for other in self.masks:
-            if self._edge(mask, other):
-                out.append(other)
-        return out
-
-    def _edge(self, src: int, dst: int) -> bool:
-        for t in self.temporals:
-            held = bool(src >> self.bit[t] & 1)
-            if isinstance(t, Next):
-                if held != self.ev(t.operand, dst):
-                    return False
-            elif isinstance(t, Until):
-                expect = self.ev(t.right, src) or (
-                    self.ev(t.left, src) and bool(dst >> self.bit[t] & 1)
-                )
-                if held != expect:
-                    return False
-            elif isinstance(t, Always):
-                if held != (self.ev(t.operand, src) and bool(dst >> self.bit[t] & 1)):
-                    return False
-            elif isinstance(t, Eventually):
-                if held != (self.ev(t.operand, src) or bool(dst >> self.bit[t] & 1)):
-                    return False
-        return True
-
-    def _restrict_reachable(self) -> None:
-        reachable: set[int] = set()
-        frontier = list(self.initial)
-        edges: dict[int, list[int]] = {}
-        while frontier:
-            mask = frontier.pop()
-            if mask in reachable:
-                continue
-            reachable.add(mask)
-            edges[mask] = self.successors(mask)
-            frontier.extend(edges[mask])
-        self.masks = [m for m in self.masks if m in reachable]
-        self.edges = {m: [d for d in edges[m] if d in reachable] for m in self.masks}
-
-    def acceptance_sets(self) -> list[set[int]]:
-        # One set per Until/Eventually, in subformula order: states where the
-        # obligation is absent or already discharged.
-        sets = []
-        for t in self.temporals:
-            if isinstance(t, Until):
-                goal = t.right
-            elif isinstance(t, Eventually):
-                goal = t.operand
-            else:
-                continue
-            sets.append(
-                {
-                    m
-                    for m in self.masks
-                    if not (m >> self.bit[t] & 1) or self.ev(goal, m)
-                }
-            )
-        return sets
+    def successors(self, mask: int) -> int:
+        """The set of successor masks of ``mask``."""
+        succ = self.consistent
+        for bit, opened, column, complement in self.steps:
+            if opened >> mask & 1:
+                succ &= column if mask >> bit & 1 else complement
+        return succ
 
     def guard(self, mask: int) -> Guard:
-        required = frozenset(
-            f.name for f in self.elementary if isinstance(f, Atom) and mask >> self.bit[f] & 1
-        )
-        forbidden = frozenset(
-            f.name
-            for f in self.elementary
-            if isinstance(f, Atom) and not (mask >> self.bit[f] & 1)
-        )
-        return Guard(required, forbidden)
+        key = mask & self.atom_bits
+        guard = self._guards.get(key)
+        if guard is None:
+            guard = self._guards[key] = Guard(
+                frozenset(name for i, name in self.atoms if key >> i & 1),
+                frozenset(name for i, name in self.atoms if not key >> i & 1),
+            )
+        return guard
 
 
 @lru_cache(maxsize=512)
 def _automaton_for(formula: LtlFormula) -> BuchiAutomaton:
     tableau = _Tableau(formula)
-    accept_sets = tableau.acceptance_sets()
-    levels = max(1, len(accept_sets))
+    accept = tableau.acceptance
+    levels = max(1, len(accept))
 
-    # Degeneralize: counter advances past level i when the tableau state is in
-    # acceptance set i; a run is accepting iff the counter cycles forever.
-    def advance(mask: int, level: int) -> int:
-        if accept_sets and mask in accept_sets[level]:
-            return (level + 1) % levels
-        return level
+    # Degeneralize: a node is (mask, level), keyed mask * levels + level; the
+    # counter advances past level i when the mask is in acceptance set i, and
+    # a run is accepting iff the counter cycles forever.  Nodes are numbered
+    # in breadth-first order, successors in ascending mask order.
+    nodes: list[int] = []
+    names: list[str] = []
+    index: dict[int, int] = {}
+    transitions: list[tuple[str, Guard, str]] = []
 
-    nodes: list[tuple[int, int]] = []
-    index: dict[tuple[int, int], int] = {}
-    frontier = [(m, 0) for m in tableau.initial]
-    for node in frontier:
-        if node not in index:
-            index[node] = len(nodes)
-            nodes.append(node)
+    def target(key: int) -> str:
+        i = index.get(key)
+        if i is None:
+            i = index[key] = len(nodes)
+            nodes.append(key)
+            names.append(f"b{i + 1}")
+        return names[i]
+
+    for mask in tableau.initial:
+        transitions.append(("b0", tableau.guard(mask), target(mask * levels)))
+    # Masks with the same successor set and next level share their (guard,
+    # name) tails; the first visit numbers any new targets in order.
+    tails: dict[tuple[int, int], list[tuple[Guard, str]]] = {}
     pos = 0
-    edges: list[tuple[int, int]] = []
     while pos < len(nodes):
-        mask, level = nodes[pos]
-        nxt_level = advance(mask, level)
-        for dst_mask in tableau.edges.get(mask, []):
-            target = (dst_mask, nxt_level)
-            if target not in index:
-                index[target] = len(nodes)
-                nodes.append(target)
-            edges.append((pos, index[target]))
+        mask, level = divmod(nodes[pos], levels)
+        if accept and accept[level] >> mask & 1:
+            level = (level + 1) % levels
+        succ = tableau.successors(mask)
+        tail = tails.get((succ, level))
+        if tail is None:
+            tail = tails[succ, level] = [
+                (tableau.guard(dst), target(dst * levels + level)) for dst in _bits(succ)
+            ]
+        src = names[pos]
+        transitions.extend([(src, guard, dst) for guard, dst in tail])
         pos += 1
 
-    closure_size = len(subformulas(formula))
-    assert len(nodes) + 1 <= 2 ** (2 * closure_size) + 1
-
-    def name(i: int) -> str:
-        return f"b{i + 1}"
-
-    states = ("b0",) + tuple(name(i) for i in range(len(nodes)))
-    transitions: list[tuple[str, Guard, str]] = []
-    for m in tableau.initial:
-        node = (m, 0)
-        transitions.append(("b0", tableau.guard(m), name(index[node])))
-    for src, dst in edges:
-        transitions.append((name(src), tableau.guard(nodes[dst][0]), name(dst)))
-    if accept_sets:
+    assert len(nodes) + 1 <= 2 ** (2 * tableau.closure_size) + 1
+    if accept:
         accepting = frozenset(
-            name(i) for i, (mask, level) in enumerate(nodes) if level == 0 and mask in accept_sets[0]
+            names[i] for i, key in enumerate(nodes) if key % levels == 0 and accept[0] >> key // levels & 1
         )
     else:
-        accepting = frozenset(name(i) for i in range(len(nodes)))
-    return BuchiAutomaton(states, frozenset({"b0"}), accepting, tuple(transitions))
+        accepting = frozenset(names)
+    return BuchiAutomaton(("b0", *names), frozenset({"b0"}), accepting, tuple(transitions))
 
 
 def ltl_to_buchi(formula: LtlFormula) -> BuchiAutomaton:

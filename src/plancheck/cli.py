@@ -20,7 +20,13 @@ from pathlib import Path
 
 from . import bundled_path
 from .checker import check_all, export_smv, format_counterexample
-from .clients import ClientError, HttpModelClient, ReplayModelClient
+from .clients import (
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT,
+    ClientError,
+    HttpModelClient,
+    ReplayModelClient,
+)
 from .conformal import (
     NonconformityDistribution,
     load_perception_calibration,
@@ -81,6 +87,15 @@ class Config:
             raise ConfigError(f"filter_mode must be 'all' or 'any', got {self.filter_mode!r}")
         if not isinstance(self.client, dict):
             raise ConfigError(f"client must be an object, got {self.client!r}")
+        timeout = self.client.get("timeout", DEFAULT_TIMEOUT)
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0:
+            raise ConfigError(f"client.timeout must be a positive number, got {timeout!r}")
+        retries = self.client.get("retries", DEFAULT_RETRIES)
+        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+            raise ConfigError(f"client.retries must be an integer >= 0, got {retries!r}")
+        for key in ("endpoint", "fixtures", "audit_log"):
+            if not isinstance(self.client.get(key, ""), str):
+                raise ConfigError(f"client.{key} must be a string, got {self.client[key]!r}")
         for label, path in (("vocabulary", self.vocabulary), ("specs", self.specs)):
             if not Path(path).exists():
                 raise ConfigError(f"{label} file does not exist: {path}")
@@ -140,8 +155,8 @@ def _make_client(config: Config, args):
     if endpoint:
         return HttpModelClient(
             endpoint,
-            timeout=float(config.client.get("timeout", 30.0)),
-            retries=int(config.client.get("retries", 2)),
+            timeout=config.client.get("timeout", DEFAULT_TIMEOUT),
+            retries=config.client.get("retries", DEFAULT_RETRIES),
             audit_path=audit,
         )
     raise ConfigError("no model client configured: pass --fixtures or --endpoint")

@@ -91,29 +91,15 @@ class Vocabulary:
     def __init__(self, propositions: Iterable[AtomicProposition], objects: Iterable[str] = ()):
         self.propositions = tuple(propositions)
         self.objects = tuple(dict.fromkeys(objects))
-        by_id: dict[str, AtomicProposition] = {}
+        self._by_id: dict[str, AtomicProposition] = {}
+        self.surface_table: dict[tuple[str, ...], str] = {}
         for prop in self.propositions:
-            if prop.id in by_id:
-                raise VocabularyError(f"duplicate proposition id {prop.id!r}")
-            by_id[prop.id] = prop
-        self._by_id = by_id
-        table: dict[tuple[str, ...], str] = {}
-        for prop in self.propositions:
-            for surface in prop.surfaces:
-                key = normalize_tokens(surface)
-                if not key:
-                    raise VocabularyError(f"empty surface form for {prop.id!r}")
-                if table.get(key, prop.id) != prop.id:
-                    raise VocabularyError(
-                        f"surface {surface!r} maps to both {table[key]!r} and {prop.id!r}"
-                    )
-                table[key] = prop.id
-        self.surface_table = table
+            _register(prop, self._by_id, self.surface_table)
         # First token -> lengths of the surfaces starting with it, longest
         # first: phrase scanning looks the table up at each length in turn,
         # so the longest match wins.
         starts: dict[str, set[int]] = {}
-        for key in table:
+        for key in self.surface_table:
             starts.setdefault(key[0], set()).add(len(key))
         self.surface_starts = {
             word: tuple(sorted(lengths, reverse=True)) for word, lengths in starts.items()
@@ -150,6 +136,8 @@ class Vocabulary:
         """
         props: list[AtomicProposition] = []
         objects: list[str] = []
+        by_id: dict[str, AtomicProposition] = {}
+        table: dict[tuple[str, ...], str] = {}
         in_objects = False
         with numbered_lines(path) as lines:
             for raw in lines:
@@ -166,7 +154,30 @@ class Vocabulary:
                 pid = head.strip()
                 aliases = tuple(a.strip() for a in tail.split(";") if a.strip())
                 props.append(AtomicProposition(pid, pid.replace("_", " "), aliases))
+                # Checked here too, so that a clash names the line it is on.
+                _register(props[-1], by_id, table)
         return cls(props, objects)
+
+
+def _register(
+    prop: AtomicProposition,
+    by_id: dict[str, AtomicProposition],
+    table: dict[tuple[str, ...], str],
+) -> None:
+    """Add ``prop`` to the id and surface tables; a duplicate id, an empty
+    surface or a surface that already names another id is an error."""
+    if prop.id in by_id:
+        raise VocabularyError(f"duplicate proposition id {prop.id!r}")
+    by_id[prop.id] = prop
+    for surface in prop.surfaces:
+        key = normalize_tokens(surface)
+        if not key:
+            raise VocabularyError(f"empty surface form for {prop.id!r}")
+        if table.get(key, prop.id) != prop.id:
+            raise VocabularyError(
+                f"surface {surface!r} maps to both {table[key]!r} and {prop.id!r}"
+            )
+        table[key] = prop.id
 
 
 # --------------------------------------------------------------------------

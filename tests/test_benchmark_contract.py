@@ -11,7 +11,7 @@ from pathlib import Path
 import plancheck
 from plancheck import bundled_path
 from plancheck.fmdp import SpecificationSet, load_plan_records
-from plancheck.logic import Vocabulary
+from plancheck.logic import Not, Vocabulary, nnf, parse_formula
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -54,3 +54,23 @@ def test_calibration_crosses_the_traced_layers():
         "checker.check_all",
     } <= names
     assert plancheck.fmdp.verify_plan.__name__ == "verify_plan"  # shims removed
+
+
+def test_traced_check_records_translation_span_and_state_count():
+    # Only the traced benchmark pass reads ``automaton.states`` through the
+    # shim, so a translator that broke it would fail that pass alone.  The
+    # formula is one no other test translates, so the translation is cold.
+    tracing = load_tracing()
+    vocab = Vocabulary.load(bundled_path("driving_vocabulary.txt"))
+    formula = parse_formula("G (car & wait -> (stop_sign U X turn_right))", vocab)
+    structure = plancheck.plan_encoder.encode("1. Wait for the car.", vocab, {"car"})
+    tracer = tracing.Tracer()
+    tracer.install(tracing.program_targets(plancheck))
+    try:
+        plancheck.checker.check(structure, formula)
+    finally:
+        tracer.uninstall()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    assert names == ["checker.check", "checker.ltl_to_buchi"]
+    automaton = plancheck.checker.ltl_to_buchi(nnf(Not(formula)))
+    assert tracer.automaton_states == [len(automaton.states)] and len(automaton.states) > 1

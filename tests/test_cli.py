@@ -536,6 +536,18 @@ class TestConfigHandling:
             {"seed": "3"},
             {"filter_mode": ["all"]},
             {"client": "fixtures.jsonl"},
+            {"client": {"timeout": [1]}},
+            {"client": {"timeout": "30"}},
+            {"client": {"timeout": True}},
+            {"client": {"timeout": 0}},
+            {"client": {"timeout": -1.5}},
+            {"client": {"retries": 1.5}},
+            {"client": {"retries": "2"}},
+            {"client": {"retries": False}},
+            {"client": {"retries": -1}},
+            {"client": {"endpoint": 9}},
+            {"client": {"fixtures": ["replay.jsonl"]}},
+            {"client": {"audit_log": {"path": "audit.jsonl"}}},
             {"specs": 7},
             ["t_p", 0.7],
         ],
@@ -552,6 +564,25 @@ class TestConfigHandling:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_mistyped_client_timeout_exits_two_before_any_request(self, capsys, tmp_path, dists):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"client": {"endpoint": "http://127.0.0.1:9/", "timeout": [1]}}))
+        code, out, err = run(
+            capsys,
+            "refine",
+            "--config", str(config),
+            "--specs", str(bundled_path("driving_gating_specs.txt")),
+            "--images", str(bundled_path("refine_images.jsonl")),
+            "--tasks", str(bundled_path("task_bank.txt")),
+            "--dist", str(dists[0]),
+            "--sample-size", "2",
+            "--budget", "10",
+            "--output", str(tmp_path / "out.jsonl"),
+        )
+        assert code == 2
+        assert err == "error: client.timeout must be a positive number, got [1]\n"
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:

@@ -299,6 +299,10 @@ def calibrate_decision(w, p):
     return ["calibrate-decision", "--specs", GATING, "--input", p, "--output", w / "out"]
 
 
+def check_vocabulary(w, p):
+    return ["check", "--vocabulary", p, "--specs", w / "specs.txt", "--plan", w / "plan.txt"]
+
+
 # Each file's bad line is its last one.
 REGRESSIONS = {
     "plan is a number": (calibrate_decision, [json.dumps(RECORD), "", json.dumps({**RECORD, "plan": 5})]),
@@ -325,10 +329,9 @@ REGRESSIONS = {
         lambda w, p: ["calibrate-perception", "--input", p, "--output", w / "out"],
         ["k = 2", "img_1, 0, 0.9 0.1", "# comment", "img_2, x, 0.9 0.1"],
     ),
-    "bad vocabulary id": (
-        lambda w, p: ["check", "--vocabulary", p, "--specs", w / "specs.txt", "--plan", w / "plan.txt"],
-        ["wait: hold on # comment", "", "Move-Forward: go ahead"],
-    ),
+    "bad vocabulary id": (check_vocabulary, ["wait: hold on # comment", "", "Move-Forward: go ahead"]),
+    "duplicate vocabulary id": (check_vocabulary, ["wait: hold on", "move_forward: go ahead", "# comment", "wait: pause"]),
+    "alias shared by two vocabulary ids": (check_vocabulary, ["wait: hold on", "", "move_forward: go ahead; Hold  on"]),
     "specification syntax error": (
         lambda w, p: ["check", "--vocabulary", w / "vocab.txt", "--specs", p, "--plan", w / "plan.txt"],
         ["# comment", "s1: F wait", "s2: G (wait ->"],
