@@ -2,17 +2,15 @@
 
 The nonconformity density is represented implicitly by the empirical CDF of
 the sorted score multiset: every downstream formula only ever integrates the
-density from zero, which the ECDF computes exactly and reproducibly.  A
-histogram emitter exists for display parity only.
+density from zero, which the ECDF computes exactly and reproducibly.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .inputs import numbered_lines
 
@@ -36,22 +34,27 @@ class ConfidenceVectorError(ValueError):
 SUM_TOLERANCE = 1e-6
 
 
-def validate_confidence_vector(entries: Sequence[float]) -> np.ndarray:
+def validate_confidence_vector(entries: Sequence[float]) -> tuple[float, ...]:
     """Check a class-confidence vector: k >= 2, entries in [0, 1], sum 1 ± 1e-6.
 
-    Invalid input is rejected, never repaired.
+    Invalid input is rejected, never repaired.  Summed left to right, as numpy does for k < 8.
     """
-    arr = np.asarray(entries, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ConfidenceVectorError(f"need at least 2 class entries, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ConfidenceVectorError("confidence vector contains NaN or infinity")
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise ConfidenceVectorError("confidence entries must lie in [0, 1]")
-    total = float(arr.sum())
+    try:
+        vector = tuple(map(float, entries))
+    except (TypeError, ValueError) as exc:
+        raise ConfidenceVectorError(f"confidence entries must be numbers: {exc}") from None
+    if len(vector) < 2 or isinstance(entries, str):
+        raise ConfidenceVectorError(f"need at least 2 class entries, got {entries!r}")
+    total = 0.0
+    for p in vector:
+        if not 0.0 <= p <= 1.0:
+            if not all(map(math.isfinite, vector)):
+                raise ConfidenceVectorError("confidence vector contains NaN or infinity")
+            raise ConfidenceVectorError("confidence entries must lie in [0, 1]")
+        total += p
     if abs(total - 1.0) > SUM_TOLERANCE:
         raise ConfidenceVectorError(f"confidence entries sum to {total}, expected 1")
-    return arr
+    return vector
 
 
 @dataclass(frozen=True)
@@ -63,11 +66,9 @@ class PerceptionSample:
     confidence: tuple[float, ...]
 
     def __post_init__(self):
-        arr = validate_confidence_vector(self.confidence)
-        if not 0 <= self.true_label < arr.size:
-            raise ConfidenceVectorError(
-                f"true label {self.true_label} out of range for {arr.size} classes"
-            )
+        k = len(validate_confidence_vector(self.confidence))
+        if not 0 <= self.true_label < k:
+            raise ConfidenceVectorError(f"true label {self.true_label} out of range for {k} classes")
 
 
 def _score(value) -> float:
@@ -83,30 +84,26 @@ class NonconformityDistribution:
     __slots__ = ("_scores",)
 
     def __init__(self, scores: Iterable[float]):
-        # Checked one at a time, so that a bad score read from a file is
-        # reported with its line.
-        arr = np.fromiter(map(_score, scores), dtype=float)
-        if arr.size == 0:
+        ordered = tuple(sorted(map(_score, scores)))
+        if not ordered:
             raise EmptyCalibrationError("a nonconformity distribution needs at least one score")
-        arr = np.sort(arr)
-        arr.setflags(write=False)
-        self._scores = arr
+        self._scores = ordered
 
     def __len__(self) -> int:
-        return int(self._scores.size)
+        return len(self._scores)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NonconformityDistribution):
             return NotImplemented
-        return np.array_equal(self._scores, other._scores)
+        return self._scores == other._scores
 
     @property
-    def scores(self) -> np.ndarray:
+    def scores(self) -> tuple[float, ...]:
         return self._scores
 
     def ecdf(self, x: float) -> float:
         """Fraction of scores <= x; a right-continuous step function."""
-        return float(np.searchsorted(self._scores, x, side="right")) / len(self)
+        return bisect_right(self._scores, x) / len(self._scores)
 
     def quantile(self, level: float) -> float:
         """The ceil((n+1) * level)-th smallest score, clamped to the largest.
@@ -120,24 +117,20 @@ class NonconformityDistribution:
         n = len(self)
         rank = math.ceil((n + 1) * level - 1e-9)
         rank = min(max(rank, 1), n)
-        return float(self._scores[rank - 1])
-
-    def histogram(self, bins: int = 50) -> tuple[list[int], list[float]]:
-        """Counts over [0, 1]; display parity with the usual 50-bin plots."""
-        counts, edges = np.histogram(self._scores, bins=bins, range=(0.0, 1.0))
-        return counts.tolist(), edges.tolist()
+        return self._scores[rank - 1]
 
     def save(self, path: str | Path) -> None:
         """Persist as one score per line so scoring can run in other processes."""
-        Path(path).write_text(
-            "".join(f"{repr(float(s))}\n" for s in self._scores), encoding="utf-8"
-        )
+        Path(path).write_text("".join(f"{s!r}\n" for s in self._scores), encoding="utf-8")
 
     @classmethod
     def load(cls, path: str | Path) -> "NonconformityDistribution":
-        """Read one score per line."""
+        """Read one score per line; a bad score is reported with its line."""
         with numbered_lines(path) as lines:
-            return cls(lines)
+            scores = [_score(line) for line in lines]
+        if not scores:
+            raise EmptyCalibrationError(f"no nonconformity scores in {path}")
+        return cls(scores)
 
 
 def perception_nonconformity(samples: Sequence[PerceptionSample]) -> NonconformityDistribution:
@@ -151,18 +144,15 @@ def perception_nonconformity(samples: Sequence[PerceptionSample]) -> Nonconformi
 
 def predict(confidence: Sequence[float]) -> int:
     """Index of the largest confidence; ties break toward the lowest index."""
-    arr = validate_confidence_vector(confidence)
-    return int(np.argmax(arr))
+    vector = validate_confidence_vector(confidence)
+    return vector.index(max(vector))
 
 
 def second_largest(confidence: Sequence[float]) -> float:
-    arr = validate_confidence_vector(confidence)
-    return float(np.partition(arr, -2)[-2])
+    return sorted(validate_confidence_vector(confidence))[-2]
 
 
-def perception_score(
-    confidence: Sequence[float], dist: NonconformityDistribution
-) -> float:
+def perception_score(confidence: Sequence[float], dist: NonconformityDistribution) -> float:
     """Calibrated lower bound on correct identification; lower means more uncertain.
 
     Evaluates the ECDF at one minus the runner-up confidence: a larger
@@ -171,9 +161,26 @@ def perception_score(
     return dist.ecdf(1.0 - second_largest(confidence))
 
 
-def qq_points(
-    a: Sequence[float], b: Sequence[float], m: int
-) -> list[tuple[float, float]]:
+def _linear_quantiles(sample: Sequence[float], m: int) -> list[float]:
+    """``np.quantile(sample, np.arange(m) / (m - 1), method="linear")``, float
+    for float, down to numpy reading the last score as index -1."""
+    ordered = sorted(map(float, sample))
+    if not ordered:
+        raise EmptySampleError("both samples must be nonempty")
+    if any(map(math.isnan, ordered)):
+        raise ValueError("samples must not contain NaN")
+    last, quantiles = len(ordered) - 1, []
+    for i in range(m):
+        v = last * (i / (m - 1))
+        j = math.floor(v) if v < last else -1
+        a = ordered[j]
+        b = ordered[j + 1] if j >= 0 else a
+        g, d = v - j, b - a
+        quantiles.append(a + d * g if g < 0.5 else b - d * (1 - g))
+    return quantiles
+
+
+def qq_points(a: Sequence[float], b: Sequence[float], m: int) -> list[tuple[float, float]]:
     """m quantile pairs of the two samples at evenly spaced probabilities.
 
     Quantiles interpolate linearly between sorted order statistics, so equal
@@ -181,14 +188,7 @@ def qq_points(
     """
     if m < 2:
         raise ValueError(f"need at least 2 points, got {m}")
-    arr_a = np.asarray(list(a), dtype=float)
-    arr_b = np.asarray(list(b), dtype=float)
-    if arr_a.size == 0 or arr_b.size == 0:
-        raise EmptySampleError("both samples must be nonempty")
-    probs = np.arange(m) / (m - 1)
-    qa = np.quantile(arr_a, probs, method="linear")
-    qb = np.quantile(arr_b, probs, method="linear")
-    return [(float(x), float(y)) for x, y in zip(qa, qb)]
+    return list(zip(_linear_quantiles(a, m), _linear_quantiles(b, m)))
 
 
 def load_perception_calibration(path: str | Path) -> list[PerceptionSample]:

@@ -1,11 +1,19 @@
 """Nonconformity distributions, quantiles, scoring, and Q-Q utilities."""
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plancheck
 from conftest import synthetic_classifier
 from plancheck.conformal import (
+    SUM_TOLERANCE,
     ConfidenceVectorError,
     EmptyCalibrationError,
     EmptySampleError,
@@ -165,6 +173,11 @@ class TestConfidenceVectors:
         with pytest.raises(ConfidenceVectorError):
             PerceptionSample("a", 5, (0.5, 0.5))
 
+    @pytest.mark.parametrize("entries", [["a", "b"], (0.5, 0.5j), [[0.5, 0.5]], "10"])
+    def test_rejects_entries_that_are_not_numbers(self, entries):
+        with pytest.raises(ConfidenceVectorError):
+            validate_confidence_vector(entries)
+
 
 class TestCoverage:
     def test_split_conformal_guarantee(self):
@@ -205,6 +218,8 @@ class TestQqPoints:
             qq_points([], [0.1], 3)
         with pytest.raises(ValueError):
             qq_points([0.1], [0.2], 1)
+        with pytest.raises(ValueError, match="NaN"):
+            qq_points([0.1, float("nan")], [0.2], 3)
 
 
 class TestPersistence:
@@ -220,11 +235,6 @@ class TestPersistence:
         d.save(first)
         d.save(second)
         assert first.read_bytes() == second.read_bytes()
-
-    def test_histogram_bins(self):
-        counts, edges = dist(0.05, 0.5, 0.95).histogram()
-        assert len(counts) == 50 and len(edges) == 51
-        assert sum(counts) == 3
 
     def test_rejects_out_of_range_scores(self):
         with pytest.raises(ValueError):
@@ -262,3 +272,113 @@ class TestCalibrationFile:
         path.write_text("img_1, 0, 0.8 0.2\n")
         with pytest.raises(ValueError, match="class count"):
             load_perception_calibration(path)
+
+
+# --------------------------------------------------------------------------
+# Plain-Python scoring against numpy references
+# --------------------------------------------------------------------------
+
+REFERENCE = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+SCORES = st.lists(st.floats(0, 1), min_size=1, max_size=40)
+
+
+def numpy_validate_confidence_vector(entries):
+    """The numpy implementation that ``validate_confidence_vector`` replaced."""
+    arr = np.asarray(entries, dtype=float)
+    if arr.ndim != 1 or arr.size < 2:
+        raise ConfidenceVectorError(f"need at least 2 class entries, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfidenceVectorError("confidence vector contains NaN or infinity")
+    if np.any(arr < 0.0) or np.any(arr > 1.0):
+        raise ConfidenceVectorError("confidence entries must lie in [0, 1]")
+    total = float(arr.sum())
+    if abs(total - 1.0) > SUM_TOLERANCE:
+        raise ConfidenceVectorError(f"confidence entries sum to {total}, expected 1")
+    return arr
+
+
+def outcome(validate, entries):
+    try:
+        return tuple(map(float, validate(entries)))
+    except ConfidenceVectorError as exc:
+        return str(exc)
+
+
+@st.composite
+def confidence_vectors(draw):
+    """k in 2..7: normalised vectors nudged across the 1e-6 sum edge, or raw entries."""
+    k = draw(st.integers(2, 7))
+    if draw(st.booleans()):
+        return draw(st.lists(st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf]),
+                             min_size=k, max_size=k))
+    weights = draw(st.lists(st.floats(0, 1), min_size=k, max_size=k))
+    total = sum(weights) or 1.0
+    vector = [w / total for w in weights]
+    edge = draw(st.sampled_from([1e-6, -1e-6]))
+    vector[-1] += draw(st.just(0.0) | st.floats(-2e-6, 2e-6) | st.just(edge)
+                       | st.just(math.nextafter(edge, 0.0)) | st.just(math.nextafter(edge, 2 * edge)))
+    return vector
+
+
+def same_floats(xs, ys):
+    return len(xs) == len(ys) and all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in zip(xs, ys))
+
+
+class TestNumpyReferences:
+    @REFERENCE
+    @given(confidence_vectors())
+    def test_validation_accepts_and_rejects_like_numpy(self, entries):
+        assert outcome(validate_confidence_vector, entries) == outcome(
+            numpy_validate_confidence_vector, entries
+        )
+
+    @REFERENCE
+    @given(SCORES, st.floats(-0.5, 1.5) | st.sampled_from([0.0, 1.0, math.nan]), st.data())
+    def test_ecdf_matches_searchsorted(self, scores, x, data):
+        d = NonconformityDistribution(scores)
+        ordered = np.sort(np.asarray(scores, dtype=float))
+        for point in (x, data.draw(st.sampled_from(scores))):
+            assert d.ecdf(point) == float(np.searchsorted(ordered, point, side="right")) / len(scores)
+
+    @REFERENCE
+    @given(SCORES, st.floats(0, 1, exclude_min=True, exclude_max=True))
+    def test_quantile_matches_partition(self, scores, level):
+        n = len(scores)
+        rank = min(max(math.ceil((n + 1) * level - 1e-9), 1), n)
+        expected = float(np.partition(np.asarray(scores, dtype=float), rank - 1)[rank - 1])
+        assert NonconformityDistribution(scores).quantile(level) == expected
+
+    @REFERENCE
+    @given(SCORES, confidence_vectors())
+    def test_perception_score_matches_numpy(self, scores, entries):
+        try:
+            arr = numpy_validate_confidence_vector(entries)
+        except ConfidenceVectorError:
+            with pytest.raises(ConfidenceVectorError):
+                perception_score(entries, dist(*scores))
+            return
+        runner_up = np.partition(arr, -2)[-2]
+        ordered = np.sort(np.asarray(scores, dtype=float))
+        expected = float(np.searchsorted(ordered, 1.0 - runner_up, side="right")) / len(scores)
+        assert second_largest(entries) == float(runner_up)
+        assert perception_score(entries, dist(*scores)) == expected
+
+    @REFERENCE
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40),
+           st.lists(st.floats(0, 1), min_size=1, max_size=40), st.integers(2, 60))
+    def test_qq_points_match_linear_quantile(self, a, b, m):
+        probs = np.arange(m) / (m - 1)
+        points = qq_points(a, b, m)
+        with np.errstate(invalid="ignore", over="ignore"):
+            qa = np.quantile(np.asarray(a, dtype=float), probs, method="linear").tolist()
+            qb = np.quantile(np.asarray(b, dtype=float), probs, method="linear").tolist()
+        assert same_floats([x for x, _ in points], qa)
+        assert same_floats([y for _, y in points], qb)
+
+
+def test_importing_the_package_does_not_import_numpy():
+    src = Path(plancheck.__file__).resolve().parents[1]
+    code = "import sys, plancheck, plancheck.cli; print([m for m in sys.modules if m.startswith('numpy')])"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.stdout == "[]\n"

@@ -42,10 +42,11 @@ def run(*argv):
 
 
 def assert_names_line(result, path, lineno):
+    """``lineno=None`` is for a file with no line to blame: only its path is named."""
     code, out, err = result
     assert code == 2, err
     assert out == ""
-    assert f"{path}:{lineno}: " in err
+    assert (f"{path}:{lineno}: " if lineno else str(path)) in err
     assert "Traceback" not in err
 
 
@@ -299,11 +300,15 @@ def calibrate_decision(w, p):
     return ["calibrate-decision", "--specs", GATING, "--input", p, "--output", w / "out"]
 
 
+def score_decision(w, p):
+    return ["score-decision", "--dist", p, "--confidence", "0.8"]
+
+
 def check_vocabulary(w, p):
     return ["check", "--vocabulary", p, "--specs", w / "specs.txt", "--plan", w / "plan.txt"]
 
 
-# Each file's bad line is its last one.
+# Each file's bad line is its last one; a file without content lines names only its path.
 REGRESSIONS = {
     "plan is a number": (calibrate_decision, [json.dumps(RECORD), "", json.dumps({**RECORD, "plan": 5})]),
     "objects item is a number": (calibrate_decision, [json.dumps({**RECORD, "objects": [1]})]),
@@ -322,6 +327,8 @@ REGRESSIONS = {
     "bad float in a distribution": (
         lambda w, p: ["score-perception", "--dist", p, "--probs", "0.9 0.1"], ["0.1", "", "0.x"]
     ),
+    "empty distribution": (score_decision, []),
+    "blank-only distribution": (score_decision, ["", " \t"]),
     "bad class count header": (
         lambda w, p: ["calibrate-perception", "--input", p, "--output", w / "out"], ["# comment", "", "k = two"]
     ),
@@ -343,7 +350,8 @@ REGRESSIONS = {
 def test_regression_names_the_line(work, case):
     argv, lines = REGRESSIONS[case]
     path = write_lines(work / "regression.txt", lines)
-    assert_names_line(run(*argv(work, path)), path, len(lines))
+    lineno = len(lines) if any(map(str.strip, lines)) else None
+    assert_names_line(run(*argv(work, path)), path, lineno)
 
 
 def test_calibration_line_numbers_count_blank_and_comment_lines(tmp_path):
