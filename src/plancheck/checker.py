@@ -9,8 +9,8 @@ so generality is worth more here than symbolic scale.
 
 ``check`` always takes that automaton path.  ``check_all``, which verifies a
 plan against a rule set, takes it only for branching structures: on a
-structure with a single lasso it evaluates each formula bit-parallel over the
-lasso's positions, and a failing formula's counterexample is the lasso itself.
+structure with a single lasso it runs each formula, compiled once, over all
+positions of the lasso at once; a failing formula's counterexample is the lasso.
 
 Also houses the two text emitters: NuSMV-style counterexample traces
 (delta-encoded state blocks) and complete SMV modules for external checking.
@@ -38,6 +38,7 @@ from .logic import (
     TrueFormula,
     Until,
     atoms_of,
+    children,
     format_formula,
     is_nnf,
     nnf,
@@ -265,30 +266,50 @@ def ltl_to_buchi(formula: LtlFormula) -> BuchiAutomaton:
 # Product and emptiness (nested DFS)
 # --------------------------------------------------------------------------
 
+def _by_identity(cache: dict, size: int, obj, build):
+    """``build(obj)``, kept in ``cache`` by the object's identity for the last
+    ``size`` objects; the cache holds them, so their ids stay their own."""
+    entry = cache.get(id(obj))
+    if entry is None:
+        if len(cache) >= size:
+            cache.pop(next(iter(cache)), None)
+        entry = cache[id(obj)] = (obj, build(obj))
+    return entry[1]
+
+
+def _outgoing(automaton: BuchiAutomaton) -> dict[str, list[tuple[str, Guard, str]]]:
+    """Each automaton state's outgoing transitions, in transition order."""
+    out: dict[str, list[tuple[str, Guard, str]]] = {s: [] for s in automaton.states}
+    for transition in automaton.transitions:
+        out[transition[0]].append(transition)
+    return out
+
+
+# Warm ``check`` calls on one automaton share its adjacency.
+_ADJACENCY: dict[int, tuple] = {}
+
+
 def _find_accepting_lasso(
     structure: KripkeStructure, automaton: BuchiAutomaton
 ) -> tuple[list[str], list[str]] | None:
     """Accepting lasso of the synchronous product, projected to structure states."""
     label = {s: frozenset(structure.labeling[s]) for s in structure.states}
     struct_succ = structure.successor_map()
-    aut_out: dict[str, list[tuple[Guard, str]]] = {s: [] for s in automaton.states}
-    for src, guard, dst in automaton.transitions:
-        aut_out[src].append((guard, dst))
+    aut_out = _by_identity(_ADJACENCY, 8, automaton, _outgoing)
     state_order = {s: i for i, s in enumerate(structure.states)}
 
-    roots = []
-    seen_roots = set()
-    for s in sorted(structure.initial, key=state_order.__getitem__):
-        for init in sorted(automaton.initial):
-            for guard, q in aut_out[init]:
-                if guard.admits(label[s]) and (s, q) not in seen_roots:
-                    seen_roots.add((s, q))
-                    roots.append((s, q))
+    roots = dict.fromkeys(
+        (s, q)
+        for s in sorted(structure.initial, key=state_order.__getitem__)
+        for init in sorted(automaton.initial)
+        for _, guard, q in aut_out[init]
+        if guard.admits(label[s])
+    )
 
     def succs(node: tuple[str, str]):
         s, q = node
         for s2 in struct_succ[s]:
-            for guard, q2 in aut_out[q]:
+            for _, guard, q2 in aut_out[q]:
                 if guard.admits(label[s2]):
                     yield (s2, q2)
 
@@ -296,58 +317,42 @@ def _find_accepting_lasso(
     cyan: dict[tuple[str, str], int] = {}
     blue: set[tuple[str, str]] = set()
     red: set[tuple[str, str]] = set()
-    path: list[tuple[str, str]] = []
 
     def red_dfs(seed):
         red.add(seed)
         rstack = [(seed, succs(seed))]
-        rpath = [seed]
         while rstack:
-            node, it = rstack[-1]
-            advanced = False
-            for nxt in it:
+            for nxt in rstack[-1][1]:
                 if nxt in cyan:
-                    return rpath[:], nxt
+                    return [n for n, _ in rstack], nxt
                 if nxt not in red:
                     red.add(nxt)
                     rstack.append((nxt, succs(nxt)))
-                    rpath.append(nxt)
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 rstack.pop()
-                rpath.pop()
         return None
 
     for root in roots:
         if root in blue:
             continue
         cyan[root] = 0
-        path.append(root)
         stack = [(root, succs(root))]
         while stack:
             node, it = stack[-1]
-            advanced = False
             for nxt in it:
                 if nxt not in cyan and nxt not in blue:
-                    cyan[nxt] = len(path)
-                    path.append(nxt)
+                    cyan[nxt] = len(stack)
                     stack.append((nxt, succs(nxt)))
-                    advanced = True
                     break
-            if not advanced:
+            else:
                 if node[1] in accepting:
                     found = red_dfs(node)
                     if found is not None:
                         rpath, target = found
-                        idx = cyan[target]
-                        prefix_nodes = path[:idx]
-                        cycle_nodes = path[idx:] + rpath[1:]
-                        prefix = [n[0] for n in prefix_nodes]
-                        cycle = [n[0] for n in cycle_nodes]
-                        return _normalize_lasso(prefix, cycle)
+                        path = [n[0] for n, _ in stack] + [n[0] for n in rpath[1:]]
+                        return _normalize_lasso(path[: cyan[target]], path[cyan[target] :])
                 stack.pop()
-                path.pop()
                 del cyan[node]
                 blue.add(node)
     return None
@@ -374,17 +379,10 @@ def lasso_word_accepted(
     """Membership of the ultimately periodic word in the automaton's language."""
     if not cycle_letters:
         raise ValueError("cycle must be nonempty")
-    letters = [frozenset(l) for l in prefix_letters] + [frozenset(l) for l in cycle_letters]
+    letters = [*map(frozenset, prefix_letters), *map(frozenset, cycle_letters)]
     states = tuple(f"w{i}" for i in range(len(letters)))
-    loop = len(prefix_letters)
-    transitions = {(states[i], states[i + 1]) for i in range(len(states) - 1)}
-    transitions.add((states[-1], states[loop]))
-    word = KripkeStructure(
-        states,
-        frozenset({states[0]}),
-        frozenset(transitions),
-        {states[i]: letters[i] for i in range(len(states))},
-    )
+    transitions = frozenset([*zip(states, states[1:]), (states[-1], states[len(prefix_letters)])])
+    word = KripkeStructure(states, frozenset({states[0]}), transitions, dict(zip(states, letters)))
     return _find_accepting_lasso(word, automaton) is not None
 
 
@@ -415,24 +413,26 @@ def check_all(
     """Check each named specification in order.
 
     A structure with a single lasso (every encoder chain) is validated once
-    and each formula is evaluated on that lasso; the verdicts and
-    counterexamples equal those of ``check``.  Any other structure goes
-    through ``check`` formula by formula.
+    and each formula, compiled once per formula object, is evaluated on that
+    lasso; the verdicts and counterexamples equal those of ``check``.  Any
+    other structure goes through ``check`` formula by formula.
     """
     spec_list = list(specs)
     if not spec_list:
         return []
     structure.validate()
     try:
-        lasso = single_path(structure)
+        lasso = _lasso(structure.states, structure.initial, structure.transitions)
     except NondeterministicStructureError:
         return [(spec_name, check(structure, formula, spec_name)) for spec_name, formula in spec_list]
-    evaluator = _LassoEvaluator(lasso, structure.labeling)
+    atoms: dict[str, int] = {}
+    for i, state in enumerate(lasso.positions):
+        for name in structure.labeling[state]:
+            atoms[name] = atoms.get(name, 0) | 1 << i
     results = []
     for spec_name, formula in spec_list:
-        holds = bool(evaluator.mask(formula) & 1)
-        verdict = Verdict(holds, formula, spec_name, None if holds else lasso)
-        results.append((spec_name, verdict))
+        holds = bool(_by_identity(_PROGRAMS, 1024, formula, _compile)(atoms, lasso) & 1)
+        results.append((spec_name, Verdict(holds, formula, spec_name, None if holds else lasso.trace)))
     return results
 
 
@@ -440,22 +440,20 @@ def check_all(
 # Lasso evaluation
 # --------------------------------------------------------------------------
 
-class _LassoEvaluator:
-    """LTL on one lasso with every position at once: bit i of a mask is
-    position i of prefix + cycle, and the last position's successor is the
-    first cycle position."""
+class _Lasso:
+    """The lasso of a single-path structure, every position at once: bit i of
+    a mask is position i of prefix + cycle, and the last position's successor
+    is the first cycle position."""
 
-    def __init__(self, lasso: LassoTrace, labeling):
-        positions = lasso.positions()
-        self.last = len(positions) - 1
-        self.loop = len(lasso.prefix)
-        self.full = (1 << len(positions)) - 1
+    __slots__ = ("trace", "positions", "last", "loop", "full", "cycle")
+
+    def __init__(self, states, initial, transitions):
+        self.trace = single_path(KripkeStructure(states, initial, transitions, {}))
+        self.positions = self.trace.positions()
+        self.last = len(self.positions) - 1
+        self.loop = len(self.trace.prefix)
+        self.full = (1 << len(self.positions)) - 1
         self.cycle = self.full ^ ((1 << self.loop) - 1)
-        atoms: dict[str, int] = {}
-        for i, state in enumerate(positions):
-            for name in labeling[state]:
-                atoms[name] = atoms.get(name, 0) | 1 << i
-        self.atoms = atoms
 
     def next(self, v: int) -> int:
         return v >> 1 | (v >> self.loop & 1) << self.last
@@ -467,36 +465,48 @@ class _LassoEvaluator:
             return self.full
         return (1 << v.bit_length()) - 1
 
-    def mask(self, node: LtlFormula) -> int:
+    def until(self, left: int, right: int) -> int:
+        result, grown = None, right
+        while grown != result:
+            result, grown = grown, right | left & self.next(grown)
+        return result
+
+
+# Encoder chains of one length share their states, initial set and
+# transitions, so they share one lasso.
+_lasso = lru_cache(maxsize=256)(_Lasso)
+_PROGRAMS: dict[int, tuple] = {}
+
+
+# Closure makers: from the closures of a node's operands, one from (atom
+# masks, lasso) to the node's position mask.
+_CLOSURES = {
+    TrueFormula: lambda: lambda atoms, lasso: lasso.full,
+    FalseFormula: lambda: lambda atoms, lasso: 0,
+    Not: lambda f: lambda atoms, lasso: lasso.full ^ f(atoms, lasso),
+    Next: lambda f: lambda atoms, lasso: lasso.next(f(atoms, lasso)),
+    Always: lambda f: lambda atoms, lasso: lasso.full ^ lasso.eventually(lasso.full ^ f(atoms, lasso)),
+    Eventually: lambda f: lambda atoms, lasso: lasso.eventually(f(atoms, lasso)),
+    And: lambda f, g: lambda atoms, lasso: f(atoms, lasso) & g(atoms, lasso),
+    Or: lambda f, g: lambda atoms, lasso: f(atoms, lasso) | g(atoms, lasso),
+    Implies: lambda f, g: lambda atoms, lasso: lasso.full ^ f(atoms, lasso) | g(atoms, lasso),
+    Until: lambda f, g: lambda atoms, lasso: lasso.until(f(atoms, lasso), g(atoms, lasso)),
+}
+
+
+def _compile(formula: LtlFormula):
+    """The formula as one closure from (atom masks, lasso) to its position mask."""
+
+    def build(node: LtlFormula):
         if isinstance(node, Atom):
-            return self.atoms.get(node.name, 0)
-        if isinstance(node, Not):
-            return self.full ^ self.mask(node.operand)
-        if isinstance(node, And):
-            return self.mask(node.left) & self.mask(node.right)
-        if isinstance(node, Or):
-            return self.mask(node.left) | self.mask(node.right)
-        if isinstance(node, Implies):
-            return (self.full ^ self.mask(node.left)) | self.mask(node.right)
-        if isinstance(node, Always):
-            return self.full ^ self.eventually(self.full ^ self.mask(node.operand))
-        if isinstance(node, Eventually):
-            return self.eventually(self.mask(node.operand))
-        if isinstance(node, Next):
-            return self.next(self.mask(node.operand))
-        if isinstance(node, Until):
-            left, right = self.mask(node.left), self.mask(node.right)
-            result = right
-            while True:
-                grown = right | left & self.next(result)
-                if grown == result:
-                    return result
-                result = grown
-        if isinstance(node, TrueFormula):
-            return self.full
-        if isinstance(node, FalseFormula):
-            return 0
-        raise TypeError(f"not a formula node: {node!r}")
+            name = node.name
+            return lambda atoms, lasso: atoms.get(name, 0)
+        make = _CLOSURES.get(type(node))
+        if make is None:
+            raise TypeError(f"not a formula node: {node!r}")
+        return make(*map(build, children(node)))
+
+    return build(formula)
 
 
 # --------------------------------------------------------------------------

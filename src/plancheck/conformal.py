@@ -66,7 +66,9 @@ class PerceptionSample:
     confidence: tuple[float, ...]
 
     def __post_init__(self):
-        k = len(validate_confidence_vector(self.confidence))
+        # Keep the validated floats, not what the caller passed.
+        object.__setattr__(self, "confidence", validate_confidence_vector(self.confidence))
+        k = len(self.confidence)
         if not 0 <= self.true_label < k:
             raise ConfidenceVectorError(f"true label {self.true_label} out of range for {k} classes")
 

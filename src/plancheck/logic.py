@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -54,6 +55,12 @@ class NondeterministicStructureError(ValueError):
 def normalize_tokens(text: str) -> tuple[str, ...]:
     """Lowercase, strip punctuation, collapse whitespace; returns word tokens."""
     return tuple(m.group(0).replace("'", "") for m in _WORD.finditer(text.lower()))
+
+
+@lru_cache(maxsize=1024)
+def _label_id(label: str) -> str:
+    """The proposition id an object label would name: its words joined by ``_``."""
+    return "_".join(normalize_tokens(label))
 
 
 # --------------------------------------------------------------------------
@@ -120,12 +127,7 @@ class Vocabulary:
 
     def observed_propositions(self, labels: Iterable[str]) -> frozenset[str]:
         """Map object labels onto same-named propositions; unmapped labels drop."""
-        found = set()
-        for label in labels:
-            pid = "_".join(normalize_tokens(label))
-            if pid in self._by_id:
-                found.add(pid)
-        return frozenset(found)
+        return frozenset(pid for pid in map(_label_id, labels) if pid in self._by_id)
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

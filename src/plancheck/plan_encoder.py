@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .logic import KripkeStructure, Vocabulary
@@ -31,6 +32,8 @@ _STEP_MARKER = re.compile(r"(?m)(?:^[ \t]*|(?<=[.!?])\s+)\d+\.[ \t]+")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _CLAUSE_SPLIT = re.compile(r"[,;:]")
 _WORD = re.compile(r"[a-z0-9']+")
+# Found in every clause that holds a cue token ("not" contains "no").
+_CUE_SUBSTRING = re.compile(r"no|n't|never|without")
 
 
 class EmptyPlanError(ValueError):
@@ -51,24 +54,8 @@ class Phrase:
 
 
 def _split_segments(raw: str) -> list[str]:
-    if _STEP_MARKER.search(raw):
-        parts = _STEP_MARKER.split(raw)
-    else:
-        parts = _SENTENCE_SPLIT.split(raw)
+    parts = (_STEP_MARKER if _STEP_MARKER.search(raw) else _SENTENCE_SPLIT).split(raw)
     return [p.strip() for p in parts if _WORD.search(p.lower())]
-
-
-def _tokenize_clauses(text: str) -> tuple[list[str], list[int], list[bool]]:
-    """Normalized tokens with their clause index and negation-cue flag."""
-    words: list[str] = []
-    clauses: list[int] = []
-    negation: list[bool] = []
-    for clause_idx, segment in enumerate(_CLAUSE_SPLIT.split(text.lower())):
-        tokens = _WORD.findall(segment)
-        negation += [token in NEGATION_CUES or token.endswith("n't") for token in tokens]
-        words += [token.replace("'", "") for token in tokens]
-        clauses += [clause_idx] * len(tokens)
-    return words, clauses, negation
 
 
 def parse_phrases(
@@ -85,34 +72,44 @@ def parse_phrases(
     segments = _split_segments(plan)
     if not segments:
         raise NoPhrasesError("plan text yields no phrases")
+    starts, table = vocab.surface_starts, vocab.surface_table
     phrases = []
     for index, segment in enumerate(segments, start=1):
-        words, clauses, negation = _tokenize_clauses(segment)
         matched: list[str] = []
-        pos = 0
-        while pos < len(words):
-            hit = None
-            for length in vocab.surface_starts.get(words[pos], ()):
-                end = pos + length
-                if end > len(words) or clauses[end - 1] != clauses[pos]:
+        # Neither a surface nor a negation window crosses a clause.
+        for clause in _CLAUSE_SPLIT.split(segment.lower()):
+            tokens = _WORD.findall(clause)
+            words = [t.replace("'", "") for t in tokens] if "'" in clause else tokens
+            cued = _CUE_SUBSTRING.search(clause) is not None
+            end = 0
+            for pos in [i for i, word in enumerate(words) if word in starts]:
+                if pos < end:
                     continue
-                pid = vocab.surface_table.get(tuple(words[pos:end]))
-                if pid is not None:
-                    hit = (length, pid)
-                    break
-            if hit is None:
-                pos += 1
-                continue
-            length, pid = hit
-            window = range(max(0, pos - negation_window), pos)
-            suppressed = any(
-                negation[j] for j in window if clauses[j] == clauses[pos]
-            )
-            if not suppressed and pid not in matched:
-                matched.append(pid)
-            pos += length
+                for length in starts[words[pos]]:
+                    pid = table.get(tuple(words[pos : pos + length]))
+                    if pid is not None and pos + length <= len(words):
+                        break
+                else:
+                    continue
+                end = pos + length
+                if cued and any(
+                    t in NEGATION_CUES or t.endswith("n't")
+                    for t in tokens[max(0, pos - negation_window) : pos]
+                ):
+                    continue
+                if pid not in matched:
+                    matched.append(pid)
         phrases.append(Phrase(index, segment, tuple(matched)))
     return phrases
+
+
+@lru_cache(maxsize=64)
+def _chain(length: int) -> tuple[tuple[str, ...], frozenset[str], frozenset[tuple[str, str]]]:
+    """States, initial states and transitions of the chain for ``length``
+    phrases, shared by every plan of that length."""
+    states = ("q0", *(f"q{i}" for i in range(1, length + 1)), "q_done")
+    transitions = frozenset([*zip(states, states[1:]), ("q_done", "q_done")])
+    return states, frozenset({"q0"}), transitions
 
 
 def encode(
@@ -128,18 +125,11 @@ def encode(
     an empty label so every path is infinite.
     """
     phrases = parse_phrases(plan, vocab, negation_window)
-    states = ["q0"] + [f"q{i}" for i in range(1, len(phrases) + 1)] + ["q_done"]
+    states, initial, transitions = _chain(len(phrases))
     labeling: dict[str, frozenset[str]] = {
         "q0": vocab.observed_propositions(observed),
         "q_done": frozenset(),
     }
     for phrase in phrases:
-        labeling[f"q{phrase.index}"] = frozenset(phrase.matched)
-    transitions = {(states[i], states[i + 1]) for i in range(len(states) - 1)}
-    transitions.add(("q_done", "q_done"))
-    return KripkeStructure(
-        states=tuple(states),
-        initial=frozenset({"q0"}),
-        transitions=frozenset(transitions),
-        labeling=labeling,
-    )
+        labeling[states[phrase.index]] = frozenset(phrase.matched)
+    return KripkeStructure(states, initial, transitions, labeling)

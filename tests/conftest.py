@@ -1,7 +1,9 @@
 """Shared fixtures: bundled data, random generators, and the synthetic classifier."""
 from __future__ import annotations
 
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,16 @@ DEMO_PLAN = (
 )
 
 ATOMS = ("p", "q", "r")
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name: str):
+    """Import ``perfbench/<name>.py`` by path; the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

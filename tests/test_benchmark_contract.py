@@ -5,26 +5,15 @@
 wrappers.  A renamed or removed name would only surface as a crash of the
 traced benchmark run; these tests make it fail here instead.
 """
-import importlib.util
-from pathlib import Path
-
 import plancheck
+from conftest import load_perfbench
 from plancheck import bundled_path
 from plancheck.fmdp import SpecificationSet, load_plan_records
 from plancheck.logic import Not, Vocabulary, nnf, parse_formula
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
-
-
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def test_every_shim_target_resolves():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     targets = tracing.program_targets(plancheck) + tracing.oracle_targets(plancheck)
     missing = [
         f"{owner.__name__}.{attr}"
@@ -35,24 +24,28 @@ def test_every_shim_target_resolves():
 
 
 def test_calibration_crosses_the_traced_layers():
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     vocab = Vocabulary.load(bundled_path("driving_vocabulary.txt"))
     specs = SpecificationSet.load(bundled_path("driving_gating_specs.txt"), vocab)
     records = load_plan_records(bundled_path("driving_decision_calibration.jsonl"))
     tracer = tracing.Tracer()
     tracer.install(tracing.program_targets(plancheck))
     try:
-        plancheck.fmdp.calibrate_decision(records, specs, vocab)
+        _, report = plancheck.fmdp.calibrate_decision(records, specs, vocab)
     finally:
         tracer.uninstall()
-    names = {span[tracing.NAME] for span in tracer.spans}
+    names = [span[tracing.NAME] for span in tracer.spans]
     assert {
         "fmdp.calibrate_decision",
         "fmdp.verify_plan",
         "plan_encoder.encode",
         "plan_encoder.parse_phrases",
         "checker.check_all",
-    } <= names
+    } <= set(names)
+    # The per-layer metrics read these spans: a verify_plan that went round
+    # the shimmed names would leave them at zero.
+    assert names.count("plan_encoder.encode") == report.total == len(records)
+    assert names.count("checker.check_all") == report.total - report.unencodable
     assert plancheck.fmdp.verify_plan.__name__ == "verify_plan"  # shims removed
 
 
@@ -60,7 +53,7 @@ def test_traced_check_records_translation_span_and_state_count():
     # Only the traced benchmark pass reads ``automaton.states`` through the
     # shim, so a translator that broke it would fail that pass alone.  The
     # formula is one no other test translates, so the translation is cold.
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     vocab = Vocabulary.load(bundled_path("driving_vocabulary.txt"))
     formula = parse_formula("G (car & wait -> (stop_sign U X turn_right))", vocab)
     structure = plancheck.plan_encoder.encode("1. Wait for the car.", vocab, {"car"})

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from conftest import random_chain, random_formula, random_lasso_labels
+from plancheck import bundled_path, checker
 from plancheck.checker import (
     Guard,
     NotACounterexampleError,
@@ -16,6 +17,7 @@ from plancheck.checker import (
     lasso_word_accepted,
     ltl_to_buchi,
 )
+from plancheck.fmdp import SpecificationSet
 from plancheck.logic import (
     TRUE,
     Always,
@@ -29,6 +31,7 @@ from plancheck.logic import (
     parse_formula,
     single_path,
 )
+from plancheck.plan_encoder import encode
 
 
 def self_loop(labels=frozenset()):
@@ -209,6 +212,20 @@ class TestCheck:
                         frontier.append((s2, q2))
         assert len(nodes) <= len(demo_structure.states) * len(automaton.states)
 
+    def test_warm_check_reuses_the_automaton_adjacency(self, demo_structure, driving_vocab, monkeypatch):
+        built = []
+        outgoing = checker._outgoing
+        monkeypatch.setattr(checker, "_ADJACENCY", {})
+        monkeypatch.setattr(checker, "_outgoing", lambda a: built.append(a) or outgoing(a))
+        formula = parse_formula("G (car -> X wait)", driving_vocab)
+        first = check(demo_structure, formula)
+        assert check(demo_structure, formula) == first and not first.holds
+        assert built == [ltl_to_buchi(nnf(Not(formula)))]
+        # The cache keeps a fixed number of automata.
+        for atom in sorted(driving_vocab.prop_ids):
+            check(demo_structure, parse_formula(f"G ({atom} -> X wait)", driving_vocab))
+        assert len(checker._ADJACENCY) == 8
+
 
 class TestCheckAll:
     def test_demo_first_two_rules(self, demo_structure, driving_vocab):
@@ -294,6 +311,21 @@ class TestCheckAll:
         )
         with pytest.raises(Exception, match="left-total"):
             check_all(broken, [("t", TRUE)])
+
+    def test_each_rule_compiles_once_across_chains(self, driving_vocab, monkeypatch):
+        # Freshly loaded, so no earlier check_all call has seen these objects.
+        specs = SpecificationSet.load(bundled_path("driving_specs.txt"), driving_vocab)
+        compiled = []
+        compile_ = checker._compile
+        monkeypatch.setattr(checker, "_PROGRAMS", {})
+        monkeypatch.setattr(checker, "_compile", lambda f: compiled.append(f) or compile_(f))
+        rng = random.Random(7)
+        steps = ["Wait at the red light.", "Move forward.", "Turn left for the car.", "Stop."]
+        for _ in range(50):
+            plan = " ".join(rng.choice(steps) for _ in range(rng.randint(1, 6)))
+            structure = encode(plan, driving_vocab, rng.sample(["car", "pedestrian"], rng.randint(0, 2)))
+            assert check_all(structure, specs) == [(n, check(structure, f, n)) for n, f in specs]
+        assert sorted(map(id, compiled)) == sorted(id(f) for _, f in specs)
 
     def test_criterion_one_calls_the_automaton_path(self):
         # The oracle test must compare eval_trace with check, not with the

@@ -59,6 +59,14 @@ class TestPerceptionNonconformity:
         with pytest.raises(EmptyCalibrationError):
             perception_nonconformity([])
 
+    def test_sample_keeps_the_validated_floats(self):
+        # Numeric strings pass validation; the sample must hold floats, so
+        # that scoring it does not fail later.
+        sample = PerceptionSample("a", 0, ("0.9", "0.1"))
+        assert sample.confidence == (0.9, 0.1)
+        assert all(type(p) is float for p in sample.confidence)
+        assert list(perception_nonconformity([sample]).scores) == [pytest.approx(0.1)]
+
 
 class TestEcdf:
     def test_counts_fraction_at_or_below(self):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DEMO_PLAN
-from plancheck.logic import AtomicProposition, Vocabulary, single_path
+from conftest import DEMO_PLAN, load_perfbench
+from plancheck.fmdp import PlanRecord, verify_plan
+from plancheck.logic import AtomicProposition, Vocabulary, eval_trace, single_path
 from plancheck.plan_encoder import (
+    DEFAULT_NEGATION_WINDOW,
     EmptyPlanError,
     NoPhrasesError,
     encode,
@@ -219,3 +221,43 @@ class TestEncode:
     def test_parse_errors_propagate(self, driving_vocab):
         with pytest.raises(EmptyPlanError):
             encode("", driving_vocab, set())
+
+
+class TestBenchmarkShapedText:
+    """The benchmark's calibration records: negation cues, apostrophes,
+    ``-.,;:!?*`` punctuation and ~2% unencodable texts."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        rows = load_perfbench("gen").plan_records(1, 2000)
+        return [PlanRecord(r["plan"], r["confidence"], frozenset(r["objects"])) for r in rows]
+
+    def test_matches_equal_brute_force_reference(self, driving_vocab, records):
+        assert any("'" in r.plan for r in records) and any("no " in r.plan for r in records)
+        phrases = []
+        for record in records:
+            try:
+                phrases += parse_phrases(record.plan, driving_vocab)
+            except NoPhrasesError:
+                pass
+        assert len(phrases) > 5000
+        for phrase in phrases:
+            expected = reference_matches(phrase.raw, driving_vocab, DEFAULT_NEGATION_WINDOW)
+            assert phrase.matched == expected, phrase.raw
+
+    def test_verdicts_equal_the_trace_oracle(self, driving_vocab, driving_specs, records):
+        unencodable = failing = 0
+        for record in records:
+            assessment = verify_plan(record, driving_specs, driving_vocab)
+            if not assessment.encodable:
+                unencodable += 1
+                continue
+            structure = encode(record.plan, driving_vocab, record.observed)
+            trace = single_path(structure)
+            for (name, verdict), (spec_name, formula) in zip(assessment.verdicts, driving_specs):
+                assert name == spec_name
+                assert verdict.holds == eval_trace(formula, trace, structure.labeling), (name, record.plan)
+                assert verdict.counterexample == (None if verdict.holds else trace)
+                failing += not verdict.holds
+        assert 0 < unencodable < len(records) * 0.05
+        assert 0 < failing < len(records) * len(driving_specs)
