@@ -14,6 +14,7 @@ transport-equivalence tests.
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -117,6 +118,8 @@ def _fixture(obj) -> dict[str, Any]:
 class ReplayModelClient:
     """Deterministic client answering from a fixture table."""
 
+    max_in_flight = 1  # answers locally: nothing to overlap
+
     def __init__(self, fixtures: str | Path | Iterable[dict[str, Any]], audit_path: str | Path | None = None):
         if isinstance(fixtures, (str, Path)):
             fixtures = load_replay_fixtures(fixtures)
@@ -136,7 +139,11 @@ class ReplayModelClient:
 
 
 class HttpModelClient:
-    """JSON-over-HTTP client with retries, backoff, and bounded in-flight requests."""
+    """JSON-over-HTTP client with retries and jittered backoff.
+
+    ``max_in_flight`` is the number of pairs whose queries
+    ``generate_refinement_dataset`` keeps running at once.
+    """
 
     def __init__(
         self,
@@ -148,11 +155,14 @@ class HttpModelClient:
         audit_path: str | Path | None = None,
         session: requests.Session | None = None,
     ):
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.base_url = base_url
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self._slots = threading.BoundedSemaphore(max_in_flight)
+        self.max_in_flight = max_in_flight
+        self._jitter = random.Random()  # private: never the caller's seeded stream
         self._audit = _AuditLog(audit_path)
         self._session = session or requests.Session()
 
@@ -160,15 +170,16 @@ class HttpModelClient:
         """POST the query; retry server errors, dropped connections and timeouts.
 
         Any other failure (a 4xx status, a body that is not JSON) would fail
-        the same way again, so it is audited once and raised at once.
+        the same way again, so it is audited once and raised at once.  The
+        wait before retry n is drawn from (0, backoff * 2**(n-1)], so
+        concurrent requests that failed together do not retry together.
         """
         for attempt in count(1):
             start = time.monotonic()
             try:
-                with self._slots:
-                    response = self._session.post(
-                        self.base_url, json=query.payload(), timeout=self.timeout
-                    )
+                response = self._session.post(
+                    self.base_url, json=query.payload(), timeout=self.timeout
+                )
                 response.raise_for_status()
                 reply = response.json()
                 self._audit.record(query, "ok", time.monotonic() - start, attempt)
@@ -179,7 +190,7 @@ class HttpModelClient:
                     raise TransportError(
                         f"request failed on attempt {attempt} of {self.retries + 1}: {exc}"
                     ) from exc
-            time.sleep(self.backoff * (2 ** (attempt - 1)))
+            time.sleep(self.backoff * (2 ** (attempt - 1)) * (1.0 - self._jitter.random()))
 
 
 def _retryable(exc: Exception) -> bool:
@@ -231,17 +242,27 @@ def query_satisfaction(
     return float(confidence)
 
 
+class _StubHTTPServer(ThreadingHTTPServer):
+    # Every request opens its own HTTP/1.0 connection; the default listen
+    # backlog of 5 drops concurrent ones into the 1 s TCP retry.
+    request_queue_size = 64
+
+
 class StubModelServer:
     """Tiny HTTP server answering from replay fixtures; for tests and demos.
 
     Use as a context manager; ``url`` is the endpoint to point an
-    HttpModelClient at.  ``fail_first`` makes the server return one 500 per
-    distinct key before succeeding, to exercise retry paths.
+    HttpModelClient at.  ``fail_first`` makes the server return that many
+    500s per distinct key before succeeding, to exercise retry paths.
+    ``posts`` counts the requests received.
     """
 
     def __init__(self, fixtures: str | Path | Iterable[dict[str, Any]], fail_first: int = 0):
         client = ReplayModelClient(fixtures)
         failures: dict[ModelQuery, int] = {}
+        lock = threading.Lock()
+        self.posts = 0
+        server = self
 
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):  # noqa: N802 (http.server API)
@@ -250,8 +271,12 @@ class StubModelServer:
                 query = ModelQuery(
                     payload.get("image", ""), payload.get("task", ""), payload.get("mode", "")
                 )
-                if failures.get(query, 0) < fail_first:
-                    failures[query] = failures.get(query, 0) + 1
+                with lock:
+                    server.posts += 1
+                    fail = failures.get(query, 0) < fail_first
+                    if fail:
+                        failures[query] = failures.get(query, 0) + 1
+                if fail:
                     self.send_response(500)
                     self.end_headers()
                     return
@@ -269,7 +294,7 @@ class StubModelServer:
             def log_message(self, *args):  # keep test output quiet
                 pass
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server = _StubHTTPServer(("127.0.0.1", 0), Handler)
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     @property

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -211,6 +213,12 @@ def active_sense(
     return SensingOutcome(accepted=False, attempts=attempts, best_score=best)
 
 
+def _query_chain(client, image: str, task: str, specs_text: str) -> tuple[str, float]:
+    """One pair's model round-trips: the plan, then its yes-confidence."""
+    plan = query_plan(client, image, task)
+    return plan, query_satisfaction(client, plan, specs_text, image=image, task=task)
+
+
 def generate_refinement_dataset(
     task_bank: Sequence[str],
     images: Sequence[Observation],
@@ -230,6 +238,14 @@ def generate_refinement_dataset(
     so a fixed seed over fixed fixtures is byte-deterministic.  Stops once
     ``sample_size`` data are collected; if ``budget`` iterations pass first, a
     BudgetExhaustedError carrying the partial dataset is raised.
+
+    Up to ``client.max_in_flight`` pairs (1 when the client has no such
+    attribute) have their model queries running at once, on worker threads.
+    Scoring, verification and commits stay on the calling thread in draw
+    order, so the result is the serial loop's for every window size.  Pairs
+    drawn past the stop point, at most ``max_in_flight - 1`` with queries,
+    are dropped along with their errors; the client still audits their
+    requests.  No request outlives the call.
     """
     if not task_bank or not images:
         raise ValueError("task bank and image set must be nonempty")
@@ -238,42 +254,76 @@ def generate_refinement_dataset(
     if budget < sample_size:
         raise ValueError(f"budget ({budget}) must be >= sample_size ({sample_size})")
     rng = random.Random(seed)
+    specs_text = specs.text()
+    window = getattr(client, "max_in_flight", 1)
+    pool = None
+    if window == 1:
+        start = partial  # run each pair's queries when it is committed
+    else:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: slow to import
+
+        pool = ThreadPoolExecutor(window, thread_name_prefix="refine")
+
+        def start(*call):
+            return pool.submit(*call).result
+    # Drawn, uncommitted pairs: (obs, task, u_p or the error scoring raised,
+    # the queries' outcome or None when the image is skipped).
+    pending: deque = deque()
+    drawn = in_flight = 0
+    draw_limit = budget
     data: list[RefinementDatum] = []
     skipped = spec_failures = unencodable = model_errors = iterations = 0
-    while iterations < budget and len(data) < sample_size:
-        iterations += 1
-        obs = images[rng.randrange(len(images))]
-        task = task_bank[rng.randrange(len(task_bank))]
-        u_p = image_uncertainty(obs, dist, aggregate)
-        if u_p < t_p:
-            skipped += 1
-            continue
-        try:
-            plan = query_plan(client, obs.image_id, task)
-            confidence = query_satisfaction(
-                client, plan, specs.text(), image=obs.image_id, task=task
+    try:
+        while iterations < budget and len(data) < sample_size:
+            while in_flight < window and drawn < draw_limit:
+                drawn += 1
+                obs = images[rng.randrange(len(images))]
+                task = task_bank[rng.randrange(len(task_bank))]
+                try:
+                    u_p = image_uncertainty(obs, dist, aggregate)
+                except Exception as exc:  # raised if and when this pair is committed
+                    pending.append((obs, task, exc, None))
+                    draw_limit = drawn  # no pair after it can be committed
+                    continue
+                outcome = None
+                if u_p >= t_p:
+                    outcome = start(_query_chain, client, obs.image_id, task, specs_text)
+                    in_flight += 1
+                pending.append((obs, task, u_p, outcome))
+            obs, task, u_p, outcome = pending.popleft()
+            iterations += 1
+            if isinstance(u_p, Exception):
+                raise u_p
+            if outcome is None:
+                skipped += 1
+                continue
+            in_flight -= 1
+            try:
+                plan, confidence = outcome()
+            except ClientError:
+                model_errors += 1
+                continue
+            record = PlanRecord(plan=plan, confidence=confidence, observed=obs.reported_labels(), task=task)
+            assessment = verify_plan(record, specs, vocab)
+            if not assessment.encodable:
+                unencodable += 1
+                continue
+            if not assessment.satisfied_all:
+                spec_failures += 1
+                continue
+            data.append(
+                RefinementDatum(
+                    image_id=obs.image_id,
+                    task=task,
+                    plan=plan,
+                    u_p=u_p,
+                    verdicts=tuple((name, v.holds) for name, v in assessment.verdicts),
+                    confidence=confidence,
+                )
             )
-        except ClientError:
-            model_errors += 1
-            continue
-        record = PlanRecord(plan=plan, confidence=confidence, observed=obs.reported_labels(), task=task)
-        assessment = verify_plan(record, specs, vocab)
-        if not assessment.encodable:
-            unencodable += 1
-            continue
-        if not assessment.satisfied_all:
-            spec_failures += 1
-            continue
-        data.append(
-            RefinementDatum(
-                image_id=obs.image_id,
-                task=task,
-                plan=plan,
-                u_p=u_p,
-                verdicts=tuple((name, v.holds) for name, v in assessment.verdicts),
-                confidence=confidence,
-            )
-        )
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     report = RefinementReport(
         iterations=iterations,
         collected=len(data),

@@ -175,6 +175,49 @@ class TestHttpClient:
         assert [e["attempt"] for e in entries] == list(range(1, attempts + 1))
         assert len(sleeps) == attempts - 1
 
+    def test_backoff_is_jittered_within_its_cap(self, monkeypatch):
+        import random
+
+        import plancheck.clients as clients
+
+        sleeps = []
+        monkeypatch.setattr(clients.time, "sleep", sleeps.append)
+        random.seed(5)
+        sampler_state = random.getstate()
+        with StubModelServer(FIXTURES, fail_first=3) as server:
+            client = HttpModelClient(server.url, timeout=5.0, retries=3, backoff=0.4)
+            plan = query_plan(client, "img_007", "turn right at the traffic light")
+            query_satisfaction(client, plan, "rules", image="img_007", task="turn right at the traffic light")
+        caps = [0.4 * 2 ** (attempt - 1) for attempt in (1, 2, 3)] * 2  # per query
+        assert len(sleeps) == len(caps)
+        assert all(0.0 < delay <= cap for delay, cap in zip(sleeps, caps)), sleeps
+        assert sleeps != caps
+        assert random.getstate() == sampler_state  # the seeded sampler's stream is untouched
+
+    def test_stub_accepts_a_burst_of_connections(self):
+        # Each request opens its own connection; a listen backlog too short
+        # for the burst would drop some into the 1 s TCP retry.
+        import threading
+        import time
+
+        plans = []
+        with StubModelServer(FIXTURES) as server:
+            client = HttpModelClient(server.url, timeout=5.0, max_in_flight=32)
+            threads = [
+                threading.Thread(
+                    target=lambda: plans.append(query_plan(client, "img_007", "turn right at the traffic light"))
+                )
+                for _ in range(32)
+            ]
+            start = time.perf_counter()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+            elapsed = time.perf_counter() - start
+        assert len(plans) == 32
+        assert elapsed < 0.9, f"a burst of 32 requests took {elapsed:.2f} s"
+
     def test_exhausted_retries_raise_transport_error(self):
         with StubModelServer(FIXTURES, fail_first=10) as server:
             client = HttpModelClient(server.url, timeout=5.0, retries=1, backoff=0.01)
