@@ -70,17 +70,15 @@ class Config:
     vocabulary: Path = field(default_factory=lambda: bundled_path("driving_vocabulary.txt"))
     specs: Path = field(default_factory=lambda: bundled_path("driving_specs.txt"))
     t_p: float = 0.7
-    t_d: float = 0.7
     filter_mode: str = "all"
     seed: int = 0
     client: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        for label, value in (("t_p", self.t_p), ("t_d", self.t_d)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{label} must be a number, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{label} must lie in [0, 1], got {value}")
+        if isinstance(self.t_p, bool) or not isinstance(self.t_p, (int, float)):
+            raise ConfigError(f"t_p must be a number, got {self.t_p!r}")
+        if not 0.0 <= self.t_p <= 1.0:
+            raise ConfigError(f"t_p must lie in [0, 1], got {self.t_p}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.filter_mode, str) or self.filter_mode not in ("all", "any"):
@@ -111,7 +109,7 @@ def load_config(args: argparse.Namespace) -> Config:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ConfigError(f"config file must hold a JSON object: {path}")
-        for key in ("t_p", "t_d", "filter_mode", "seed", "client"):
+        for key in ("t_p", "filter_mode", "seed", "client"):
             if key in raw:
                 setattr(config, key, raw[key])
         for key in ("vocabulary", "specs"):
@@ -123,10 +121,10 @@ def load_config(args: argparse.Namespace) -> Config:
         value = getattr(args, key.replace("-", "_"), None)
         if value:
             setattr(config, key, Path(value))
-    for attr, flag in (("t_p", "t_p"), ("t_d", "t_d"), ("filter_mode", "filter_mode"), ("seed", "seed")):
-        value = getattr(args, flag, None)
+    for key in ("t_p", "filter_mode", "seed"):
+        value = getattr(args, key, None)
         if value is not None:
-            setattr(config, attr, value)
+            setattr(config, key, value)
     config.validate()
     return config
 
@@ -436,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--vocabulary", default=None, help="vocabulary file path")
     common.add_argument("--specs", default=None, help="specification file path")
     common.add_argument("--t-p", dest="t_p", type=float, default=None, help="perception threshold")
-    common.add_argument("--t-d", dest="t_d", type=float, default=None, help="decision threshold")
     common.add_argument("--filter-mode", choices=("all", "any"), default=None, help="calibration filter")
     common.add_argument("--seed", type=int, default=None, help="PRNG seed for sampling loops")
     common.add_argument("--json", action="store_true", help="machine-readable output")

@@ -18,7 +18,6 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -256,16 +255,9 @@ def generate_refinement_dataset(
     rng = random.Random(seed)
     specs_text = specs.text()
     window = getattr(client, "max_in_flight", 1)
-    pool = None
-    if window == 1:
-        start = partial  # run each pair's queries when it is committed
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # deferred: slow to import
+    from concurrent.futures import ThreadPoolExecutor  # deferred: slow to import
 
-        pool = ThreadPoolExecutor(window, thread_name_prefix="refine")
-
-        def start(*call):
-            return pool.submit(*call).result
+    pool = ThreadPoolExecutor(window, thread_name_prefix="refine")
     # Drawn, uncommitted pairs: (obs, task, u_p or the error scoring raised,
     # the queries' outcome or None when the image is skipped).
     pending: deque = deque()
@@ -287,7 +279,7 @@ def generate_refinement_dataset(
                     continue
                 outcome = None
                 if u_p >= t_p:
-                    outcome = start(_query_chain, client, obs.image_id, task, specs_text)
+                    outcome = pool.submit(_query_chain, client, obs.image_id, task, specs_text).result
                     in_flight += 1
                 pending.append((obs, task, u_p, outcome))
             obs, task, u_p, outcome = pending.popleft()
@@ -322,8 +314,7 @@ def generate_refinement_dataset(
                 )
             )
     finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
     report = RefinementReport(
         iterations=iterations,
         collected=len(data),

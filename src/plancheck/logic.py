@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .inputs import numbered_lines
 
@@ -254,16 +254,42 @@ class Until(LtlFormula):
 TRUE = TrueFormula()
 FALSE = FalseFormula()
 
-_UNARY = (Not, Next, Always, Eventually)
-_BINARY = (And, Or, Implies, Until)
+
+class _Op(NamedTuple):
+    """How an operator is written and how a negation passes through it."""
+
+    token: str
+    prec: int
+    right_assoc: bool = False
+    dual: type | None = None  # None: nnf rewrites the negation itself
+
+
+# The one description of the operator syntax: the parser, the printer,
+# ``children`` and ``nnf`` all read it. Binary operators bind from loosest (1)
+# to tightest (4); prefix operators bind tighter than any of them.
+_PREFIX = 5
+_SYNTAX: dict[type, _Op] = {
+    Implies: _Op("->", 1, right_assoc=True),
+    Or: _Op("|", 2, dual=And),
+    And: _Op("&", 3, dual=Or),
+    Until: _Op("U", 4, right_assoc=True),
+    Not: _Op("!", _PREFIX),
+    Next: _Op("X", _PREFIX, dual=Next),
+    Always: _Op("G", _PREFIX, dual=Eventually),
+    Eventually: _Op("F", _PREFIX, dual=Always),
+}
+_BY_TOKEN = {op.token: cls for cls, op in _SYNTAX.items()}
+
+# Parentheses and operators nested deeper than this are a syntax error, so
+# that no recursive walk over a parsed formula can exhaust the stack.
+MAX_NESTING = 100
 
 
 def children(formula: LtlFormula) -> tuple[LtlFormula, ...]:
-    if isinstance(formula, _UNARY):
-        return (formula.operand,)
-    if isinstance(formula, _BINARY):
-        return (formula.left, formula.right)
-    return ()
+    op = _SYNTAX.get(type(formula))
+    if op is None:
+        return ()
+    return (formula.operand,) if op.prec == _PREFIX else (formula.left, formula.right)
 
 
 def subformulas(formula: LtlFormula) -> list[LtlFormula]:
@@ -292,17 +318,9 @@ def atoms_of(formula: LtlFormula) -> frozenset[str]:
 # --------------------------------------------------------------------------
 
 _TOKEN_SPEC = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<bang>!)
-  | (?P<amp>&)
-  | (?P<pipe>\|)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-    """,
-    re.VERBOSE,
+    r"(?P<ws>\s+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)|(?P<sym>[()]|"
+    + "|".join(re.escape(token) for token in _BY_TOKEN if not token.isalpha())
+    + ")"
 )
 
 
@@ -322,6 +340,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Precedence climbing over ``_SYNTAX``.
+
+    Each method takes ``depth``, the parentheses and operators around the
+    text it parses, and returns the formula with its own nesting height, so
+    that the parser stops at the token where ``depth + height`` would pass
+    ``MAX_NESTING``, before its own recursion gets that deep.
+    """
+
     def __init__(self, text: str, vocab: Vocabulary | None):
         self.tokens = _tokenize(text)
         self.vocab = vocab
@@ -335,94 +361,73 @@ class _Parser:
         self.pos += 1
         return token
 
+    @staticmethod
+    def nest(level: int, offset: int) -> None:
+        if level > MAX_NESTING:
+            raise LtlSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", offset)
+
     def parse(self) -> LtlFormula:
-        formula = self.implies()
+        formula, _ = self.binary(0)
         kind, value, offset = self.peek()
         if kind != "eof":
             raise LtlSyntaxError(f"unexpected token {value!r}", offset)
         return formula
 
-    def implies(self) -> LtlFormula:
-        left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.take()
-            return Implies(left, self.implies())
-        return left
+    def binary(self, depth: int, min_prec: int = 1) -> tuple[LtlFormula, int]:
+        """Operands joined by binary operators that bind at least ``min_prec``."""
+        left, height = self.prefix(depth)
+        while True:
+            cls = _BY_TOKEN.get(self.peek()[1])
+            op = _SYNTAX.get(cls)
+            if op is None or not min_prec <= op.prec < _PREFIX:
+                return left, height
+            self.nest(depth + height + 1, self.take()[2])
+            right, right_height = self.binary(depth + 1, op.prec + (not op.right_assoc))
+            left, height = cls(left, right), max(height, right_height) + 1
 
-    def disjunction(self) -> LtlFormula:
-        node = self.conjunction()
-        while self.peek()[0] == "pipe":
-            self.take()
-            node = Or(node, self.conjunction())
-        return node
+    def prefix(self, depth: int) -> tuple[LtlFormula, int]:
+        _, value, offset = self.peek()
+        cls = _BY_TOKEN.get(value)
+        if cls is None or _SYNTAX[cls].prec != _PREFIX:
+            return self.primary(depth)
+        self.take()
+        self.nest(depth + 1, offset)
+        operand, height = self.prefix(depth + 1)
+        return cls(operand), height + 1
 
-    def conjunction(self) -> LtlFormula:
-        node = self.until()
-        while self.peek()[0] == "amp":
-            self.take()
-            node = And(node, self.until())
-        return node
-
-    def until(self) -> LtlFormula:
-        left = self.unary()
-        if self.peek()[:2] == ("word", "U"):
-            self.take()
-            return Until(left, self.until())
-        return left
-
-    def unary(self) -> LtlFormula:
-        kind, value, offset = self.peek()
-        if kind == "bang":
-            self.take()
-            return Not(self.unary())
-        if kind == "word" and value in ("X", "G", "F"):
-            self.take()
-            wrapper = {"X": Next, "G": Always, "F": Eventually}[value]
-            return wrapper(self.unary())
-        return self.primary()
-
-    def primary(self) -> LtlFormula:
+    def primary(self, depth: int) -> tuple[LtlFormula, int]:
         kind, value, offset = self.take()
-        if kind == "lparen":
-            inner = self.implies()
+        if value == "(":
+            self.nest(depth + 1, offset)
+            inner, height = self.binary(depth + 1)
             k, v, o = self.take()
-            if k != "rparen":
+            if v != ")":
                 raise LtlSyntaxError("expected ')'", o)
-            return inner
+            return inner, height + 1
         if kind == "word":
             if value in ("true", "TRUE"):
-                return TRUE
+                return TRUE, 0
             if value in ("false", "FALSE"):
-                return FALSE
-            if value in ("U", "X", "G", "F"):
+                return FALSE, 0
+            if value in _BY_TOKEN:
                 raise LtlSyntaxError(f"operator {value!r} needs an operand", offset)
             if not ID_PATTERN.match(value):
                 raise LtlSyntaxError(f"invalid identifier {value!r}", offset)
             if self.vocab is not None and value not in self.vocab:
                 raise UnknownAtomError(value, offset)
-            return Atom(value)
+            return Atom(value), 0
         raise LtlSyntaxError(f"expected a formula, found {value!r}" if value else "unexpected end of input", offset)
 
 
 def parse_formula(text: str, vocab: Vocabulary | None = None) -> LtlFormula:
-    """Parse concrete LTL syntax; atoms are resolved against ``vocab`` if given."""
+    """Parse concrete LTL syntax; atoms are resolved against ``vocab`` if given.
+
+    Nesting deeper than ``MAX_NESTING``, counting each operator and each pair
+    of parentheses, raises LtlSyntaxError at the token that crosses it.
+    """
     if not text.strip():
         raise LtlSyntaxError("empty formula", 0)
     return _Parser(text, vocab).parse()
-
-
-_PREC = {Implies: 1, Or: 2, And: 3, Until: 4}
-_UNARY_PREC = 5
-_LEAF_PREC = 6
-
-
-def _prec(node: LtlFormula) -> int:
-    for cls, prec in _PREC.items():
-        if isinstance(node, cls):
-            return prec
-    if isinstance(node, _UNARY):
-        return _UNARY_PREC
-    return _LEAF_PREC
 
 
 def format_formula(formula: LtlFormula, smv_literals: bool = False) -> str:
@@ -432,38 +437,24 @@ def format_formula(formula: LtlFormula, smv_literals: bool = False) -> str:
     SMV model files; the operators are shared between both syntaxes.
     """
 
-    def wrap(child: LtlFormula, parent_prec: int, right_of_same: bool = False) -> str:
-        text = fmt(child)
-        child_prec = _prec(child)
-        if child_prec < parent_prec or (child_prec == parent_prec and right_of_same):
-            return f"({text})"
-        return text
-
-    def fmt(node: LtlFormula) -> str:
-        if isinstance(node, TrueFormula):
-            return "TRUE" if smv_literals else "true"
-        if isinstance(node, FalseFormula):
-            return "FALSE" if smv_literals else "false"
-        if isinstance(node, Atom):
-            return node.name
-        if isinstance(node, Not):
-            return "!" + wrap(node.operand, _UNARY_PREC)
-        if isinstance(node, Next):
-            return "X " + wrap(node.operand, _UNARY_PREC)
-        if isinstance(node, Always):
-            return "G " + wrap(node.operand, _UNARY_PREC)
-        if isinstance(node, Eventually):
-            return "F " + wrap(node.operand, _UNARY_PREC)
-        prec = _prec(node)
-        if isinstance(node, And):
-            return f"{wrap(node.left, prec)} & {wrap(node.right, prec, right_of_same=True)}"
-        if isinstance(node, Or):
-            return f"{wrap(node.left, prec)} | {wrap(node.right, prec, right_of_same=True)}"
-        if isinstance(node, Until):
-            return f"{wrap(node.left, prec, right_of_same=True)} U {wrap(node.right, prec)}"
-        if isinstance(node, Implies):
-            return f"{wrap(node.left, prec, right_of_same=True)} -> {wrap(node.right, prec)}"
-        raise TypeError(f"not a formula node: {node!r}")
+    def fmt(node: LtlFormula, bound: int = 0) -> str:
+        """``node``, parenthesized if its operator binds looser than ``bound``."""
+        op = _SYNTAX.get(type(node))
+        if op is None:
+            if isinstance(node, TrueFormula):
+                return "TRUE" if smv_literals else "true"
+            if isinstance(node, FalseFormula):
+                return "FALSE" if smv_literals else "false"
+            if isinstance(node, Atom):
+                return node.name
+            raise TypeError(f"not a formula node: {node!r}")
+        if op.prec == _PREFIX:
+            space = " " if op.token.isalpha() else ""
+            text = op.token + space + fmt(node.operand, _PREFIX)
+        else:
+            left = fmt(node.left, op.prec + op.right_assoc)
+            text = f"{left} {op.token} {fmt(node.right, op.prec + (not op.right_assoc))}"
+        return f"({text})" if op.prec < bound else text
 
     return fmt(formula)
 
@@ -474,48 +465,33 @@ def nnf(formula: LtlFormula) -> LtlFormula:
     Negated Until rewrites within the G/F/U operator set:
     ``!(a U b)  ==  (!b U (!a & !b)) | G !b``.
     """
-    if isinstance(formula, (TrueFormula, FalseFormula, Atom)):
-        return formula
-    if isinstance(formula, Next):
-        return Next(nnf(formula.operand))
-    if isinstance(formula, Always):
-        return Always(nnf(formula.operand))
-    if isinstance(formula, Eventually):
-        return Eventually(nnf(formula.operand))
-    if isinstance(formula, And):
-        return And(nnf(formula.left), nnf(formula.right))
-    if isinstance(formula, Or):
-        return Or(nnf(formula.left), nnf(formula.right))
-    if isinstance(formula, Until):
-        return Until(nnf(formula.left), nnf(formula.right))
-    if isinstance(formula, Implies):
+    cls = type(formula)
+    if cls is Implies:
         return Or(nnf(Not(formula.left)), nnf(formula.right))
-    if isinstance(formula, Not):
-        inner = formula.operand
-        if isinstance(inner, TrueFormula):
-            return FALSE
-        if isinstance(inner, FalseFormula):
-            return TRUE
-        if isinstance(inner, Atom):
+    if cls is not Not:
+        if cls in _SYNTAX:
+            return cls(*map(nnf, children(formula)))
+        if isinstance(formula, (TrueFormula, FalseFormula, Atom)):
             return formula
-        if isinstance(inner, Not):
-            return nnf(inner.operand)
-        if isinstance(inner, Next):
-            return Next(nnf(Not(inner.operand)))
-        if isinstance(inner, Always):
-            return Eventually(nnf(Not(inner.operand)))
-        if isinstance(inner, Eventually):
-            return Always(nnf(Not(inner.operand)))
-        if isinstance(inner, And):
-            return Or(nnf(Not(inner.left)), nnf(Not(inner.right)))
-        if isinstance(inner, Or):
-            return And(nnf(Not(inner.left)), nnf(Not(inner.right)))
-        if isinstance(inner, Implies):
-            return And(nnf(inner.left), nnf(Not(inner.right)))
-        if isinstance(inner, Until):
-            not_a = nnf(Not(inner.left))
-            not_b = nnf(Not(inner.right))
-            return Or(Until(not_b, And(not_a, not_b)), Always(not_b))
+        raise TypeError(f"not a formula node: {formula!r}")
+    inner = formula.operand
+    dual = _SYNTAX[type(inner)].dual if type(inner) in _SYNTAX else None
+    if dual is not None:
+        return dual(*(nnf(Not(child)) for child in children(inner)))
+    if isinstance(inner, Not):
+        return nnf(inner.operand)
+    if isinstance(inner, Implies):
+        return And(nnf(inner.left), nnf(Not(inner.right)))
+    if isinstance(inner, Until):
+        not_a = nnf(Not(inner.left))
+        not_b = nnf(Not(inner.right))
+        return Or(Until(not_b, And(not_a, not_b)), Always(not_b))
+    if isinstance(inner, Atom):
+        return formula
+    if isinstance(inner, TrueFormula):
+        return FALSE
+    if isinstance(inner, FalseFormula):
+        return TRUE
     raise TypeError(f"not a formula node: {formula!r}")
 
 
@@ -635,13 +611,13 @@ def eval_trace(
             vals = [child[succ[i]] for i in range(n)]
         elif isinstance(node, Until):
             left, right = values(node.left), values(node.right)
-            vals = _lfp(lambda cur, i: right[i] or (left[i] and cur[succ[i]]), n)
+            vals = _fixpoint(lambda cur, i: right[i] or (left[i] and cur[succ[i]]), n, False)
         elif isinstance(node, Eventually):
             child = values(node.operand)
-            vals = _lfp(lambda cur, i: child[i] or cur[succ[i]], n)
+            vals = _fixpoint(lambda cur, i: child[i] or cur[succ[i]], n, False)
         elif isinstance(node, Always):
             child = values(node.operand)
-            vals = _gfp(lambda cur, i: child[i] and cur[succ[i]], n)
+            vals = _fixpoint(lambda cur, i: child[i] and cur[succ[i]], n, True)
         else:
             raise TypeError(f"not a formula node: {node!r}")
         memo[node] = vals
@@ -650,21 +626,10 @@ def eval_trace(
     return values(formula)[0]
 
 
-def _lfp(step, n: int) -> list[bool]:
-    vals = [False] * n
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1, -1, -1):
-            new = step(vals, i)
-            if new != vals[i]:
-                vals[i] = new
-                changed = True
-    return vals
-
-
-def _gfp(step, n: int) -> list[bool]:
-    vals = [True] * n
+def _fixpoint(step, n: int, start: bool) -> list[bool]:
+    """Iterate ``step`` from all-``start`` until nothing changes: the least
+    fixpoint from False, the greatest from True."""
+    vals = [start] * n
     changed = True
     while changed:
         changed = False

@@ -7,6 +7,7 @@ import pytest
 
 from plancheck import bundled_path
 from plancheck.cli import main
+from plancheck.logic import MAX_NESTING
 
 DATA = Path(__file__).parent / "data"
 
@@ -530,7 +531,7 @@ class TestConfigHandling:
         "raw",
         [
             {"t_p": "0.7"},
-            {"t_d": None},
+            {"t_p": None},
             {"t_p": True},
             {"seed": 1.5},
             {"seed": "3"},
@@ -588,3 +589,46 @@ class TestConfigHandling:
         with pytest.raises(SystemExit) as info:
             main(["check"])  # --plan is required
         assert info.value.code == 2
+
+    def test_removed_decision_threshold_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["check", "--t-d", "0.7", "--plan", str(bundled_path("demo_plan.txt"))])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --t-d" in capsys.readouterr().err
+
+
+def nested(shape: str, levels: int) -> str:
+    """A rule over ``car`` nested ``levels`` deep in one shape."""
+    if shape == "parentheses":
+        return "(" * levels + "car" + ")" * levels
+    if shape == "prefix":
+        return " ".join("!XGF"[i % 4] for i in range(levels)) + " car"
+    token = {"and": "&", "until": "U", "implies": "->"}[shape]
+    return f" {token} ".join(["car"] * (levels + 1))
+
+
+class TestNestingBound:
+    SHAPES = ("parentheses", "prefix", "and", "until", "implies")
+
+    def run_rule(self, capsys, tmp_path, command, text):
+        specs = tmp_path / "specs.txt"
+        specs.write_text(f"deep: {text}\n")
+        plan = str(bundled_path("demo_plan.txt"))
+        return specs, run(capsys, command, "--specs", str(specs), "--plan", plan)
+
+    @pytest.mark.parametrize("command", ("check", "export-smv"))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rule_at_the_bound_runs(self, capsys, tmp_path, shape, command):
+        _, (code, out, err) = self.run_rule(capsys, tmp_path, command, nested(shape, MAX_NESTING))
+        assert err == ""
+        assert code in ((0, 1) if command == "check" else (0,))
+        assert "deep" in out
+
+    @pytest.mark.parametrize("levels", (MAX_NESTING + 1, 1500))
+    @pytest.mark.parametrize("command", ("check", "export-smv"))
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rule_past_the_bound_exits_two(self, capsys, tmp_path, shape, command, levels):
+        specs, (code, out, err) = self.run_rule(capsys, tmp_path, command, nested(shape, levels))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {specs}:1: formula nested deeper than {MAX_NESTING} levels")

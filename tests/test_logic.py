@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_lasso_labels
 from plancheck.logic import (
     FALSE,
+    MAX_NESTING,
     TRUE,
     Always,
     And,
@@ -97,6 +98,26 @@ class TestParsing:
         with pytest.raises(LtlSyntaxError) as info:
             parse_formula("p + q")
         assert info.value.offset == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        (
+            lambda n: ("(" * n + "p" + ")" * n, n - 1),
+            lambda n: ("!" * n + "p", n - 1),
+            lambda n: (" & ".join("p" * (n + 1)), 4 * n - 2),
+            lambda n: (" U ".join("p" * (n + 1)), 4 * n - 2),
+            # 50 parentheses around a chain of n - 50 conjunctions
+            lambda n: ("(" * 50 + " & ".join("p" * (n - 49)) + ")" * 50, 50 + 4 * (n - 50) - 2),
+        ),
+        ids=("parentheses", "negations", "and-chain", "until-chain", "mixed"),
+    )
+    def test_nesting_bound(self, build):
+        text, _ = build(MAX_NESTING)
+        parse_formula(text)
+        text, crossing = build(MAX_NESTING + 1)
+        with pytest.raises(LtlSyntaxError, match="nested deeper than") as info:
+            parse_formula(text)
+        assert info.value.offset == crossing
 
 
 # ======================== Printing round trip ========================
