@@ -12,10 +12,11 @@ the independent oracle the model checker is tested against.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
+from weakref import WeakValueDictionary
 
 from .inputs import numbered_lines
 
@@ -186,66 +187,76 @@ def _register(
 # Formula AST
 # --------------------------------------------------------------------------
 
+_INTERNED: WeakValueDictionary = WeakValueDictionary()  # (class, *fields) -> node
+
+
 class LtlFormula:
-    """Base class for formula nodes; all nodes are frozen and hashable."""
+    """Base class for formula nodes, frozen and interned: at most one node is
+    alive per class and field values, so equality and hashing are by identity.
+    Build nodes positionally, on one thread; copy, deepcopy and pickle give the same node."""
 
-    __slots__ = ()
+    def __new__(cls, *values):
+        key = (cls, *values)
+        return _INTERNED.get(key) or _INTERNED.setdefault(key, object.__new__(cls))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrueFormula(LtlFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FalseFormula(LtlFormula):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(LtlFormula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(LtlFormula):
     operand: LtlFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(LtlFormula):
     operand: LtlFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(LtlFormula):
     operand: LtlFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(LtlFormula):
     operand: LtlFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(LtlFormula):
     left: LtlFormula
     right: LtlFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(LtlFormula):
     left: LtlFormula
     right: LtlFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(LtlFormula):
     left: LtlFormula
     right: LtlFormula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(LtlFormula):
     left: LtlFormula
     right: LtlFormula

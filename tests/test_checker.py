@@ -1,6 +1,7 @@
 """Büchi translation, product emptiness, counterexamples, and SMV export."""
 import random
 import re
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from plancheck.checker import (
     Guard,
     NotACounterexampleError,
     NotNegationNormalError,
+    TableauTooLargeError,
     check,
     check_all,
     export_smv,
@@ -27,6 +29,7 @@ from plancheck.logic import (
     KripkeStructure,
     Not,
     eval_trace,
+    format_formula,
     nnf,
     parse_formula,
     single_path,
@@ -111,6 +114,17 @@ class TestLtlToBuchi:
                         seen.add(nxt)
                         frontier.append(nxt)
             assert seen == set(automaton.states)
+
+    @pytest.mark.parametrize("depth", [21, 100])
+    def test_oversized_tableau_raises_before_building(self, depth, demo_structure):
+        formula = parse_formula("G " * depth + "car")
+        start = time.perf_counter()
+        with pytest.raises(TableauTooLargeError, match=re.escape(f"'{format_formula(formula)}'")):
+            ltl_to_buchi(nnf(formula))
+        with pytest.raises(TableauTooLargeError, match="F !car"):
+            check(demo_structure, formula)
+        assert time.perf_counter() - start < 1
+        assert issubclass(TableauTooLargeError, ValueError)
 
     def test_guard_rejects_conflicting_sets(self):
         with pytest.raises(ValueError):
@@ -212,19 +226,18 @@ class TestCheck:
                         frontier.append((s2, q2))
         assert len(nodes) <= len(demo_structure.states) * len(automaton.states)
 
-    def test_warm_check_reuses_the_automaton_adjacency(self, demo_structure, driving_vocab, monkeypatch):
-        built = []
-        outgoing = checker._outgoing
-        monkeypatch.setattr(checker, "_ADJACENCY", {})
-        monkeypatch.setattr(checker, "_outgoing", lambda a: built.append(a) or outgoing(a))
+    def test_warm_check_reuses_the_automaton_adjacency(self, demo_structure, driving_vocab):
+        checker._outgoing.cache_clear()
         formula = parse_formula("G (car -> X wait)", driving_vocab)
         first = check(demo_structure, formula)
         assert check(demo_structure, formula) == first and not first.holds
-        assert built == [ltl_to_buchi(nnf(Not(formula)))]
+        # Built once, for the negated formula's automaton.
+        checker._outgoing(ltl_to_buchi(nnf(Not(formula))))
+        assert checker._outgoing.cache_info().misses == 1
         # The cache keeps a fixed number of automata.
         for atom in sorted(driving_vocab.prop_ids):
             check(demo_structure, parse_formula(f"G ({atom} -> X wait)", driving_vocab))
-        assert len(checker._ADJACENCY) == 8
+        assert checker._outgoing.cache_info().currsize == 8
 
 
 class TestCheckAll:
@@ -312,20 +325,21 @@ class TestCheckAll:
         with pytest.raises(Exception, match="left-total"):
             check_all(broken, [("t", TRUE)])
 
-    def test_each_rule_compiles_once_across_chains(self, driving_vocab, monkeypatch):
-        # Freshly loaded, so no earlier check_all call has seen these objects.
+    def test_each_rule_compiles_once_across_chains(self, driving_vocab):
+        # Formulas are interned, so these are the session fixtures' objects,
+        # which earlier check_all calls may have compiled.
         specs = SpecificationSet.load(bundled_path("driving_specs.txt"), driving_vocab)
-        compiled = []
-        compile_ = checker._compile
-        monkeypatch.setattr(checker, "_PROGRAMS", {})
-        monkeypatch.setattr(checker, "_compile", lambda f: compiled.append(f) or compile_(f))
+        checker._compile.cache_clear()
         rng = random.Random(7)
         steps = ["Wait at the red light.", "Move forward.", "Turn left for the car.", "Stop."]
         for _ in range(50):
             plan = " ".join(rng.choice(steps) for _ in range(rng.randint(1, 6)))
             structure = encode(plan, driving_vocab, rng.sample(["car", "pedestrian"], rng.randint(0, 2)))
             assert check_all(structure, specs) == [(n, check(structure, f, n)) for n, f in specs]
-        assert sorted(map(id, compiled)) == sorted(id(f) for _, f in specs)
+        assert checker._compile.cache_info().misses == len({f for _, f in specs}) == len(specs)
+        for _, formula in specs:
+            checker._compile(formula)
+        assert checker._compile.cache_info().misses == len(specs)
 
     def test_criterion_one_calls_the_automaton_path(self):
         # The oracle test must compare eval_trace with check, not with the

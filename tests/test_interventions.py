@@ -270,11 +270,12 @@ class TestRefinementGeneration:
 
     def test_input_validation(self, refine_setup):
         images, tasks, client, vocab, specs, dist = refine_setup
-        with pytest.raises(ValueError):
-            generate_refinement_dataset(
-                [], images, client, vocab, specs, dist,
-                sample_size=1, t_p=0.7, budget=5, seed=0,
-            )
+        for bank, image_set in (([], images), (tasks, [])):
+            with pytest.raises(ValueError, match="task bank and image set must be nonempty"):
+                generate_refinement_dataset(
+                    bank, image_set, client, vocab, specs, dist,
+                    sample_size=1, t_p=0.7, budget=5, seed=0,
+                )
         with pytest.raises(ValueError):
             generate_refinement_dataset(
                 tasks, images, client, vocab, specs, dist,

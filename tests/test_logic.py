@@ -1,4 +1,6 @@
 """Formula language, trace semantics, vocabulary, and structure invariants."""
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_lasso_labels
+from plancheck import bundled_path
 from plancheck.logic import (
     FALSE,
     MAX_NESTING,
@@ -15,6 +18,7 @@ from plancheck.logic import (
     Atom,
     AtomicProposition,
     Eventually,
+    FalseFormula,
     Implies,
     KripkeStructure,
     LassoTrace,
@@ -24,6 +28,7 @@ from plancheck.logic import (
     Not,
     Or,
     StructureInvariantError,
+    TrueFormula,
     UnknownAtomError,
     Until,
     Vocabulary,
@@ -147,6 +152,55 @@ def test_print_parse_round_trip(formula):
 @given(formulas)
 def test_smv_spelling_reparses(formula):
     assert parse_formula(format_formula(formula, smv_literals=True)) == formula
+
+
+# ======================== Interning ========================
+
+SPEC_FILES = ("driving_specs.txt", "driving_gating_specs.txt", "tabletop_specs.txt")
+
+
+@pytest.mark.parametrize("name", SPEC_FILES)
+def test_parsing_a_rule_twice_gives_one_node(name):
+    texts = [line.split("#", 1)[0].partition(":")[2] for line in bundled_path(name).read_text().splitlines()]
+    texts = [text for text in texts if text.strip()]
+    assert texts and all(parse_formula(text) is parse_formula(text) for text in texts)
+
+
+@given(formulas)
+def test_nnf_is_idempotent_by_identity(formula):
+    assert nnf(nnf(formula)) is nnf(formula)
+
+
+def test_constants_are_interned():
+    assert TrueFormula() is TRUE and FalseFormula() is FALSE
+
+
+@given(formulas)
+def test_copy_deepcopy_and_pickle_return_the_node(formula):
+    assert copy.copy(formula) is formula
+    assert copy.deepcopy(formula) is formula
+    assert pickle.loads(pickle.dumps(formula)) is formula
+
+
+def test_deepcopy_keeps_distinct_atoms_apart():
+    formula = parse_formula("G (a -> X b)")
+    assert format_formula(copy.deepcopy(formula)) == "G (a -> X b)"
+
+
+@pytest.mark.parametrize(
+    "build, positional",
+    [
+        (lambda: Atom(name="x"), lambda: Atom("x")),
+        (lambda: Not(operand=Atom("x")), lambda: Not(Atom("x"))),
+        (lambda: And(left=Atom("x"), right=TRUE), lambda: And(Atom("x"), TRUE)),
+    ],
+)
+def test_keyword_construction_never_builds_a_second_node(build, positional):
+    try:
+        node = build()
+    except TypeError:
+        return
+    assert node is positional()
 
 
 # ======================== Trace evaluation ========================
