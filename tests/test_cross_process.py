@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs each (name, argv, expected exit code) through the CLI in one
 # interpreter and writes the code and stdout to the file ``name``.
-DRIVER = """
+SCRIPT = """
 import contextlib, io, json, sys
 from plancheck.cli import main
 for name, argv, _ in json.loads(sys.argv[1]):
@@ -66,7 +66,7 @@ def run_all(workdir: Path, hash_seed: str) -> dict[str, bytes]:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     subprocess.run(
-        [sys.executable, "-c", DRIVER, json.dumps(commands())],
+        [sys.executable, "-c", SCRIPT, json.dumps(commands())],
         cwd=workdir, env=env, check=True, timeout=60,
     )
     return {path.name: path.read_bytes() for path in sorted(workdir.iterdir())}
