@@ -62,14 +62,13 @@ class ModelQuery:
     mode: str
     plan: str | None = None
     specs_text: str | None = None
-    preamble_id: str = DEFAULT_PREAMBLE
 
     def payload(self) -> dict[str, Any]:
         body: dict[str, Any] = {
             "mode": self.mode,
             "image": self.image,
             "task": self.task,
-            "preamble_id": self.preamble_id,
+            "preamble_id": DEFAULT_PREAMBLE,
         }
         if self.plan is not None:
             body["plan"] = self.plan
@@ -200,39 +199,23 @@ def _retryable(exc: Exception) -> bool:
     return isinstance(exc, (requests.ConnectionError, requests.Timeout))
 
 
-def query_plan(
-    client, image: str, task: str, preamble_id: str = DEFAULT_PREAMBLE
-) -> str:
+def query_plan(client, image: str, task: str) -> str:
     """Ask the model for an instruction; returns the text verbatim."""
     if not task.strip():
         raise ValueError("task description must be nonempty")
-    raw = client.request(ModelQuery(image=image, task=task, mode=PLAN_MODE, preamble_id=preamble_id))
+    raw = client.request(ModelQuery(image=image, task=task, mode=PLAN_MODE))
     plan = raw.get("plan") if isinstance(raw, dict) else None
     if not isinstance(plan, str) or not plan.strip():
         raise MalformedReplyError(f"reply is missing the plan field: {raw!r}")
     return plan
 
 
-def query_satisfaction(
-    client,
-    plan: str,
-    specs_text: str,
-    image: str = "",
-    task: str = "",
-    preamble_id: str = DEFAULT_PREAMBLE,
-) -> float:
+def query_satisfaction(client, plan: str, specs_text: str, image: str = "", task: str = "") -> float:
     """Ask whether the plan satisfies the rules; returns the yes-confidence."""
     if not plan.strip():
         raise ValueError("plan must be nonempty")
     raw = client.request(
-        ModelQuery(
-            image=image,
-            task=task,
-            mode=SATISFACTION_MODE,
-            plan=plan,
-            specs_text=specs_text,
-            preamble_id=preamble_id,
-        )
+        ModelQuery(image=image, task=task, mode=SATISFACTION_MODE, plan=plan, specs_text=specs_text)
     )
     confidence = raw.get("yes_confidence") if isinstance(raw, dict) else None
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .checker import Verdict, check_all
 from .conformal import EmptyCalibrationError, NonconformityDistribution
@@ -127,15 +127,13 @@ def verify_plan(
 
 
 def _passes(assessment: DecisionAssessment, filter_mode: str) -> bool:
-    if not assessment.encodable:
-        return False
     if filter_mode == "all":
         return assessment.satisfied_all
     return assessment.satisfied_any
 
 
 def calibrate_decision(
-    records: Sequence[PlanRecord],
+    records: Iterable[PlanRecord],
     specs: SpecificationSet,
     vocab: Vocabulary,
     filter_mode: str = "all",
@@ -145,18 +143,20 @@ def calibrate_decision(
     ``filter_mode`` "all" keeps records whose plan satisfies every
     specification (the default, matching the universal prediction-band
     reading); "any" keeps records satisfying at least one.  Aggregation is
-    order-independent.
+    order-independent.  One pass: only the passers' scores are kept.
     """
     if filter_mode not in FILTER_MODES:
         raise ValueError(f"filter_mode must be one of {FILTER_MODES}, got {filter_mode!r}")
-    assessments = [verify_plan(record, specs, vocab) for record in records]
-    scores = [
-        1.0 - record.confidence
-        for record, assessment in zip(records, assessments)
-        if _passes(assessment, filter_mode)
-    ]
-    unencodable = sum(1 for a in assessments if not a.encodable)
-    report = CalibrationReport(total=len(records), included=len(scores), unencodable=unencodable)
+    scores: list[float] = []
+    total = unencodable = 0
+    for record in records:
+        assessment = verify_plan(record, specs, vocab)
+        total += 1
+        if not assessment.encodable:
+            unencodable += 1
+        elif _passes(assessment, filter_mode):
+            scores.append(assessment.nonconformity)
+    report = CalibrationReport(total=total, included=len(scores), unencodable=unencodable)
     if not scores:
         raise EmptyAfterFilterError(
             f"no record passed the {filter_mode!r} filter "

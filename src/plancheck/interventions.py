@@ -10,7 +10,7 @@ and every datum re-verifies.
 
 Image-level perception score aggregates per-detection scores with ``min``:
 the bound covers identifying *all* objects, and min never overstates certainty
-without an independence assumption (``product`` mode is available).
+without an independence assumption.
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass
-from math import prod
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -27,8 +26,6 @@ from .conformal import NonconformityDistribution, perception_score
 from .fmdp import DecisionAssessment, PlanRecord, SpecificationSet, decision_score, verify_plan
 from .inputs import _INT, _LIST, _NUMBER, _STR, _field, _items, numbered_lines
 from .logic import Vocabulary
-
-AGGREGATES = ("min", "product")
 
 
 class NoPairsError(ValueError):
@@ -147,6 +144,8 @@ class Scenario:
     def __post_init__(self):
         if not self.observations:
             raise ValueError("a scenario needs at least one observation")
+        if self.confidence is not None and not 0.0 <= self.confidence <= 1.0:
+            raise ValueError(f"confidence must lie in [0, 1], got {self.confidence}")
 
     def observed_objects(self, observation: Observation) -> frozenset[str]:
         if self.objects is not None:
@@ -162,16 +161,9 @@ class SweepRow:
     satisfy_prob: float
 
 
-def image_uncertainty(
-    obs: Observation, dist: NonconformityDistribution, aggregate: str = "min"
-) -> float:
-    """Image-level perception score aggregated over all detections."""
-    if aggregate not in AGGREGATES:
-        raise ValueError(f"aggregate must be one of {AGGREGATES}, got {aggregate!r}")
-    scores = [perception_score(d.probs, dist) for d in obs.detections]
-    if aggregate == "min":
-        return min(scores)
-    return prod(scores)
+def image_uncertainty(obs: Observation, dist: NonconformityDistribution) -> float:
+    """Image-level perception score: the lowest over all detections."""
+    return min([perception_score(d.probs, dist) for d in obs.detections])
 
 
 def active_sense(
@@ -179,7 +171,6 @@ def active_sense(
     dist: NonconformityDistribution,
     t_p: float,
     max_attempts: int,
-    aggregate: str = "min",
 ) -> SensingOutcome:
     """Re-observe until an image clears the perception threshold.
 
@@ -202,7 +193,7 @@ def active_sense(
         if obs is None:
             break
         attempts += 1
-        score = image_uncertainty(obs, dist, aggregate)
+        score = image_uncertainty(obs, dist)
         if best is None or score > best:
             best = score
         if score >= t_p:
@@ -229,7 +220,6 @@ def generate_refinement_dataset(
     t_p: float,
     budget: int,
     seed: int,
-    aggregate: str = "min",
 ) -> tuple[list[RefinementDatum], RefinementReport]:
     """Sample (image, task) pairs, skip uncertain images, keep verified plans.
 
@@ -272,7 +262,7 @@ def generate_refinement_dataset(
                 obs = images[rng.randrange(len(images))]
                 task = task_bank[rng.randrange(len(task_bank))]
                 try:
-                    u_p = image_uncertainty(obs, dist, aggregate)
+                    u_p = image_uncertainty(obs, dist)
                 except Exception as exc:  # raised if and when this pair is committed
                     pending.append((obs, task, exc, None))
                     draw_limit = drawn  # no pair after it can be committed
@@ -373,8 +363,6 @@ def threshold_sweep(
     dist_d: NonconformityDistribution,
     specs: SpecificationSet,
     vocab: Vocabulary,
-    aggregate: str = "min",
-    score_mode: str = "confidence",
 ) -> list[SweepRow]:
     """Shared perception/decision threshold study over a scripted corpus.
 
@@ -407,7 +395,7 @@ def threshold_sweep(
             scores = pulled[i]
             k = next((j for j, score in enumerate(scores) if score >= t), None)
             while k is None and len(scores) < len(scene.observations):
-                scores.append(image_uncertainty(scene.observations[len(scores)], dist_p, aggregate))
+                scores.append(image_uncertainty(scene.observations[len(scores)], dist_p))
                 if scores[-1] >= t:
                     k = len(scores) - 1
             if k is None:
@@ -420,7 +408,7 @@ def threshold_sweep(
             if scene.plan is None or scene.confidence is None:
                 continue
             if i not in u_ds:
-                u_ds[i] = decision_score(scene.confidence, dist_d, mode=score_mode)
+                u_ds[i] = decision_score(scene.confidence, dist_d)
             u_d = u_ds[i]
             if u_d is None or u_d < t:
                 continue

@@ -476,33 +476,32 @@ def nnf(formula: LtlFormula) -> LtlFormula:
     Negated Until rewrites within the G/F/U operator set:
     ``!(a U b)  ==  (!b U (!a & !b)) | G !b``.
     """
+    return _nnf(formula, False)
+
+
+def _nnf(formula: LtlFormula, negated: bool) -> LtlFormula:
+    """``nnf`` of ``formula``, or of its negation when ``negated``; a negation
+    is carried down as the flag, so no temporary ``Not`` node is built."""
     cls = type(formula)
+    if cls is Not:
+        return _nnf(formula.operand, not negated)
     if cls is Implies:
-        return Or(nnf(Not(formula.left)), nnf(formula.right))
-    if cls is not Not:
-        if cls in _SYNTAX:
-            return cls(*map(nnf, children(formula)))
-        if isinstance(formula, (TrueFormula, FalseFormula, Atom)):
-            return formula
-        raise TypeError(f"not a formula node: {formula!r}")
-    inner = formula.operand
-    dual = _SYNTAX[type(inner)].dual if type(inner) in _SYNTAX else None
-    if dual is not None:
-        return dual(*(nnf(Not(child)) for child in children(inner)))
-    if isinstance(inner, Not):
-        return nnf(inner.operand)
-    if isinstance(inner, Implies):
-        return And(nnf(inner.left), nnf(Not(inner.right)))
-    if isinstance(inner, Until):
-        not_a = nnf(Not(inner.left))
-        not_b = nnf(Not(inner.right))
+        if negated:
+            return And(_nnf(formula.left, False), _nnf(formula.right, True))
+        return Or(_nnf(formula.left, True), _nnf(formula.right, False))
+    if cls is Until and negated:
+        not_a = _nnf(formula.left, True)
+        not_b = _nnf(formula.right, True)
         return Or(Until(not_b, And(not_a, not_b)), Always(not_b))
-    if isinstance(inner, Atom):
-        return formula
-    if isinstance(inner, TrueFormula):
-        return FALSE
-    if isinstance(inner, FalseFormula):
-        return TRUE
+    if cls in _SYNTAX:
+        node = _SYNTAX[cls].dual if negated else cls
+        return node(*(_nnf(child, negated) for child in children(formula)))
+    if cls is Atom:
+        return Not(formula) if negated else formula
+    if cls is TrueFormula:
+        return FALSE if negated else formula
+    if cls is FalseFormula:
+        return TRUE if negated else formula
     raise TypeError(f"not a formula node: {formula!r}")
 
 

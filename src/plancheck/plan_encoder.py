@@ -12,9 +12,10 @@ a constrained phrase set, so a curated alias table is both faithful and
 deterministic.
 
 Negation handling: a cue (``no``, ``not``, ``never``, ``without``, ``*n't``)
-within the window of tokens preceding a match suppresses that match.  The
-window never crosses a clause boundary (comma, semicolon, colon), so in
-"there is no stop sign, move forward" the cue scopes over ``stop sign`` only.
+among the ``DEFAULT_NEGATION_WINDOW`` (3) tokens before a match suppresses
+that match.  The window never crosses a clause boundary (comma, semicolon,
+colon), so in "there is no stop sign, move forward" the cue scopes over
+``stop sign`` only.
 """
 from __future__ import annotations
 
@@ -58,9 +59,7 @@ def _split_segments(raw: str) -> list[str]:
     return [p.strip() for p in parts if _WORD.search(p.lower())]
 
 
-def parse_phrases(
-    plan: str, vocab: Vocabulary, negation_window: int = DEFAULT_NEGATION_WINDOW
-) -> list[Phrase]:
+def parse_phrases(plan: str, vocab: Vocabulary) -> list[Phrase]:
     """Split a plan into phrases and match each against the vocabulary.
 
     Phrases break at numbered-step markers (``1.``, ``2.`` ... at line starts
@@ -94,7 +93,7 @@ def parse_phrases(
                 end = pos + length
                 if cued and any(
                     t in NEGATION_CUES or t.endswith("n't")
-                    for t in tokens[max(0, pos - negation_window) : pos]
+                    for t in tokens[max(0, pos - DEFAULT_NEGATION_WINDOW) : pos]
                 ):
                     continue
                 if pid not in matched:
@@ -112,19 +111,14 @@ def _chain(length: int) -> tuple[tuple[str, ...], frozenset[str], frozenset[tupl
     return states, frozenset({"q0"}), transitions
 
 
-def encode(
-    plan: str,
-    vocab: Vocabulary,
-    observed: Iterable[str],
-    negation_window: int = DEFAULT_NEGATION_WINDOW,
-) -> KripkeStructure:
+def encode(plan: str, vocab: Vocabulary, observed: Iterable[str]) -> KripkeStructure:
     """Build the chain structure for a plan given the observed object labels.
 
     The initial state carries the observed objects that name propositions
     (unmapped objects drop out); the terminal ``q_done`` state self-loops with
     an empty label so every path is infinite.
     """
-    phrases = parse_phrases(plan, vocab, negation_window)
+    phrases = parse_phrases(plan, vocab)
     states, initial, transitions = _chain(len(phrases))
     labeling: dict[str, frozenset[str]] = {
         "q0": vocab.observed_propositions(observed),

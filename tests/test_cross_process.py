@@ -33,6 +33,7 @@ def commands():
     return [
         ("check.out", ["check", *demo, "--json"], 1),
         ("export.smv", ["export-smv", *demo], 0),
+        ("encode.out", ["encode", *demo, "--json"], 0),
         ("calibrate-perception.out", [
             "calibrate-perception",
             "--input", str(bundled_path("driving_perception_calibration.csv")),
@@ -43,6 +44,11 @@ def commands():
             "--input", str(bundled_path("driving_decision_calibration.jsonl")),
             "--output", "dist_d.txt", "--json",
         ], 0),
+        ("sense.out", [
+            "sense", "--scenarios", str(bundled_path("driving_sweep_corpus.jsonl")),
+            "--dist", "dist_p.txt", "--json",
+        ], 0),
+        ("qq.out", ["qq", "--a", "dist_p.txt", "--b", "dist_d.txt"], 0),
         ("sweep.out", [
             "sweep", *gating,
             "--scenarios", str(bundled_path("driving_sweep_corpus.jsonl")),

@@ -1,9 +1,10 @@
 """Verification-driven decision calibration, scoring, and gates."""
 import random
+import tracemalloc
 
 import pytest
 
-from conftest import DEMO_PLAN
+from conftest import DEMO_PLAN, load_perfbench
 from plancheck import bundled_path
 from plancheck.conformal import NonconformityDistribution
 from plancheck.fmdp import (
@@ -121,6 +122,23 @@ class TestCalibrateDecision:
         dist, report = calibrate_decision(records, two_specs, driving_vocab)
         assert len(dist) == 1
         assert report.unencodable == 1
+
+    def test_memory_does_not_grow_with_the_record_count(self, driving_vocab, gating_specs):
+        # Records stream in one at a time; only the passers' scores are kept.
+        rows = load_perfbench("gen").plan_records(1, 11_000)
+
+        def peak(batch):
+            records = (PlanRecord(r["plan"], r["confidence"], frozenset(r["objects"])) for r in batch)
+            tracemalloc.start()
+            try:
+                _, report = calibrate_decision(records, gating_specs, driving_vocab)
+                assert report.total == len(batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(rows[:200])  # fills the encoder's and checker's caches
+        assert peak(rows[1000:]) - peak(rows[:1000]) < 512 * 1024
 
     def test_bad_filter_mode(self, driving_vocab, two_specs):
         with pytest.raises(ValueError):

@@ -204,6 +204,18 @@ def test_broken_json_line_exits_two_naming_it(work, name, data):
         assert_names_line(result, path, 2)
 
 
+@pytest.mark.parametrize("argv", [
+    lambda w: ["sense", "--dist", w / "dist_p.txt"],
+    lambda w: ["sweep", "--dist-p", w / "dist_p.txt", "--dist-d", w / "dist_p.txt"],
+], ids=["sense", "sweep"])
+def test_scenario_confidence_out_of_range_names_its_line(work, argv):
+    first, second = JSON_FORMATS["scenarios"]["lines"]
+    path = write_lines(work / "scenarios.jsonl", [json.dumps(first), json.dumps({**second, "confidence": 1.5})])
+    result = run(*argv(work), "--scenarios", path)
+    assert_names_line(result, path, 2)
+    assert "confidence must lie in [0, 1], got 1.5" in result[2]
+
+
 # --------------------------------------------------------------------------
 # Text formats
 # --------------------------------------------------------------------------

@@ -51,10 +51,6 @@ class TestImageUncertainty:
             smaller, staircase_dist
         )
 
-    def test_product_mode(self, staircase_dist):
-        obs = observation_with_scores(staircase_dist, [0.9, 0.5])
-        assert image_uncertainty(obs, staircase_dist, aggregate="product") == pytest.approx(0.45)
-
     def test_empty_detections_rejected(self):
         with pytest.raises(ValueError):
             Observation("img", ())
@@ -408,7 +404,7 @@ class TestThresholdSweep:
             threshold_sweep([], [0.5], dist_p, dist_d, specs, vocab)
 
 
-def reference_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab, aggregate="min"):
+def reference_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab):
     """The sweep as one active_sense run and one verification per scene per threshold."""
     rows = []
     for t in thresholds:
@@ -416,7 +412,7 @@ def reference_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab, aggregate=
         for scene in scenes:
             outcome = active_sense(
                 ReplayObservationProvider(scene.observations), dist_p, t,
-                max_attempts=len(scene.observations), aggregate=aggregate,
+                max_attempts=len(scene.observations),
             )
             settled = outcome.observation or scene.observations[outcome.attempts - 1]
             scored = [d for d in settled.detections if d.true_label is not None]
@@ -487,15 +483,15 @@ class TestSweepEquivalence:
         assert [repr(r) for r in rows] == [repr(r) for r in expected]
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), aggregate=st.sampled_from(("min", "product")))
+    @given(data=st.data())
     def test_generated_corpus_matches_reference(
-        self, data, aggregate, staircase_dist, driving_vocab, gating_specs
+        self, data, staircase_dist, driving_vocab, gating_specs
     ):
         corpus = data.draw(sweep_corpora(staircase_dist))
         thresholds = data.draw(thresholds_with_ends)
         args = (corpus, thresholds, staircase_dist, staircase_dist, gating_specs, driving_vocab)
-        rows = threshold_sweep(*args, aggregate=aggregate)
-        expected = reference_sweep(*args, aggregate=aggregate)
+        rows = threshold_sweep(*args)
+        expected = reference_sweep(*args)
         assert [repr(r) for r in rows] == [repr(r) for r in expected]
 
     def test_scores_each_reached_detection_once(self, sweep_inputs, monkeypatch):

@@ -99,10 +99,6 @@ class TestParsePhrases:
         phrases = parse_phrases("1. There is no reason you should wait here.", driving_vocab)
         assert phrases[0].matched == ("wait",)
 
-    def test_negation_window_configurable(self, driving_vocab):
-        text = "1. There is no reason you should wait here."
-        assert parse_phrases(text, driving_vocab, negation_window=6)[0].matched == ()
-
     def test_empty_plan(self, driving_vocab):
         with pytest.raises(EmptyPlanError):
             parse_phrases("   \n ", driving_vocab)
@@ -140,13 +136,13 @@ class TestParsePhrases:
 
     @pytest.mark.parametrize("vocab_name", ["nested", "driving"])
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), window=st.integers(0, 5))
-    def test_matches_brute_force_reference(self, driving_vocab, vocab_name, data, window):
+    @given(data=st.data())
+    def test_matches_brute_force_reference(self, driving_vocab, vocab_name, data):
         vocab = NESTED_VOCAB if vocab_name == "nested" else driving_vocab
         pieces = data.draw(_plan_pieces(vocab))
         text = " ".join(word + sep for word, sep in pieces) + " now"
-        (phrase,) = parse_phrases(f"1. {text}.", vocab, negation_window=window)
-        assert phrase.matched == reference_matches(text, vocab, window)
+        (phrase,) = parse_phrases(f"1. {text}.", vocab)
+        assert phrase.matched == reference_matches(text, vocab, DEFAULT_NEGATION_WINDOW)
 
     def test_alias_soundness(self, driving_vocab):
         plans = [
