@@ -212,8 +212,12 @@ class _Tableau:
         return guard
 
 
-@lru_cache(maxsize=512)
-def _automaton_for(formula: LtlFormula) -> BuchiAutomaton:
+def ltl_to_buchi(formula: LtlFormula) -> BuchiAutomaton:
+    """Translate an NNF formula to a Büchi automaton over symbolic letters."""
+    if not is_nnf(formula):
+        raise NotNegationNormalError(
+            f"formula is not in negation normal form: {format_formula(formula)}"
+        )
     tableau = _Tableau(formula)
     accept = tableau.acceptance
     levels = max(1, len(accept))
@@ -265,27 +269,9 @@ def _automaton_for(formula: LtlFormula) -> BuchiAutomaton:
     return BuchiAutomaton(("b0", *names), frozenset({"b0"}), accepting, tuple(transitions))
 
 
-def ltl_to_buchi(formula: LtlFormula) -> BuchiAutomaton:
-    """Translate an NNF formula to a Büchi automaton over symbolic letters."""
-    if not is_nnf(formula):
-        raise NotNegationNormalError(
-            f"formula is not in negation normal form: {format_formula(formula)}"
-        )
-    return _automaton_for(formula)
-
-
 # --------------------------------------------------------------------------
 # Product and emptiness (nested DFS)
 # --------------------------------------------------------------------------
-
-@lru_cache(maxsize=8)
-def _outgoing(automaton: BuchiAutomaton) -> dict[str, list[tuple[str, Guard, str]]]:
-    """Each state's outgoing transitions, in order; warm ``check`` calls share them."""
-    out: dict[str, list[tuple[str, Guard, str]]] = {s: [] for s in automaton.states}
-    for transition in automaton.transitions:
-        out[transition[0]].append(transition)
-    return out
-
 
 def _find_accepting_lasso(
     structure: KripkeStructure, automaton: BuchiAutomaton
@@ -293,7 +279,9 @@ def _find_accepting_lasso(
     """Accepting lasso of the synchronous product, projected to structure states."""
     label = {s: frozenset(structure.labeling[s]) for s in structure.states}
     struct_succ = structure.successor_map()
-    aut_out = _outgoing(automaton)
+    aut_out: dict[str, list[tuple[str, Guard, str]]] = {q: [] for q in automaton.states}
+    for transition in automaton.transitions:
+        aut_out[transition[0]].append(transition)
     state_order = {s: i for i, s in enumerate(structure.states)}
 
     roots = dict.fromkeys(

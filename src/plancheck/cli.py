@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,8 @@ from .conformal import (
 )
 from .fmdp import (
     CONFIDENCE_GATE,
+    FILTER_MODES,
+    SCORE_MODES,
     PlanRecord,
     SpecificationSet,
     _plan_record,
@@ -81,13 +84,18 @@ class Config:
             raise ConfigError(f"t_p must lie in [0, 1], got {self.t_p}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.filter_mode, str) or self.filter_mode not in ("all", "any"):
-            raise ConfigError(f"filter_mode must be 'all' or 'any', got {self.filter_mode!r}")
+        if not isinstance(self.filter_mode, str) or self.filter_mode not in FILTER_MODES:
+            modes = " or ".join(map(repr, FILTER_MODES))
+            raise ConfigError(f"filter_mode must be {modes}, got {self.filter_mode!r}")
         if not isinstance(self.client, dict):
             raise ConfigError(f"client must be an object, got {self.client!r}")
         timeout = self.client.get("timeout", DEFAULT_TIMEOUT)
         if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0:
             raise ConfigError(f"client.timeout must be a positive number, got {timeout!r}")
+        if timeout > threading.TIMEOUT_MAX:  # the most a socket timeout can hold
+            raise ConfigError(
+                f"client.timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {timeout!r}"
+            )
         retries = self.client.get("retries", DEFAULT_RETRIES)
         if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
             raise ConfigError(f"client.retries must be an integer >= 0, got {retries!r}")
@@ -434,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--vocabulary", default=None, help="vocabulary file path")
     common.add_argument("--specs", default=None, help="specification file path")
     common.add_argument("--t-p", dest="t_p", type=float, default=None, help="perception threshold")
-    common.add_argument("--filter-mode", choices=("all", "any"), default=None, help="calibration filter")
+    common.add_argument("--filter-mode", choices=FILTER_MODES, default=None, help="calibration filter")
     common.add_argument("--seed", type=int, default=None, help="PRNG seed for sampling loops")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -469,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("score-decision", cmd_score_decision, help="score one satisfaction confidence")
     p.add_argument("--dist", required=True)
     p.add_argument("--confidence", type=float, required=True)
-    p.add_argument("--mode", choices=("confidence", "complement"), default="confidence")
+    p.add_argument("--mode", choices=SCORE_MODES, default="confidence")
 
     p = add("sense", cmd_sense, help="run active sensing over a scenario file")
     p.add_argument("--scenarios", required=True)

@@ -1,7 +1,9 @@
 """Büchi translation, product emptiness, counterexamples, and SMV export."""
+import gc
 import random
 import re
 import time
+import weakref
 
 import pytest
 
@@ -226,18 +228,20 @@ class TestCheck:
                         frontier.append((s2, q2))
         assert len(nodes) <= len(demo_structure.states) * len(automaton.states)
 
-    def test_warm_check_reuses_the_automaton_adjacency(self, demo_structure, driving_vocab):
-        checker._outgoing.cache_clear()
+    def test_no_automaton_outlives_check(self, monkeypatch, demo_structure, driving_vocab):
+        built = []
+
+        def keep_a_weakref(formula):
+            automaton = ltl_to_buchi(formula)
+            built.append(weakref.ref(automaton))
+            return automaton
+
+        monkeypatch.setattr(checker, "ltl_to_buchi", keep_a_weakref)
         formula = parse_formula("G (car -> X wait)", driving_vocab)
         first = check(demo_structure, formula)
         assert check(demo_structure, formula) == first and not first.holds
-        # Built once, for the negated formula's automaton.
-        checker._outgoing(ltl_to_buchi(nnf(Not(formula))))
-        assert checker._outgoing.cache_info().misses == 1
-        # The cache keeps a fixed number of automata.
-        for atom in sorted(driving_vocab.prop_ids):
-            check(demo_structure, parse_formula(f"G ({atom} -> X wait)", driving_vocab))
-        assert checker._outgoing.cache_info().currsize == 8
+        gc.collect()
+        assert len(built) == 2 and all(ref() is None for ref in built)
 
 
 class TestCheckAll:

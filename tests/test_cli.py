@@ -542,6 +542,8 @@ class TestConfigHandling:
             {"client": {"timeout": True}},
             {"client": {"timeout": 0}},
             {"client": {"timeout": -1.5}},
+            {"client": {"timeout": float("inf")}},
+            {"client": {"timeout": 1e10}},
             {"client": {"retries": 1.5}},
             {"client": {"retries": "2"}},
             {"client": {"retries": False}},
