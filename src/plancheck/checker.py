@@ -186,8 +186,6 @@ class _Tableau:
                 value = self.table(node.left) & self.table(node.right)
             elif isinstance(node, Or):
                 value = self.table(node.left) | self.table(node.right)
-            elif isinstance(node, Implies):
-                value = self.full & ~self.table(node.left) | self.table(node.right)
             else:
                 raise TypeError(f"not a formula node: {node!r}")
             self.tables[node] = value

@@ -7,8 +7,8 @@ Exit codes: 0 success; 1 verification found violations (check) or the
 refinement budget ran out (partial dataset still written); 2 usage or
 configuration error; 3 client/transport error.  Every subcommand is
 reproducible: the same config, inputs, and seed give byte-identical outputs.
-Machine-readable output via --json validates against the schemas shipped
-under data/schemas/.
+Machine-readable output via --json (every subcommand but export-smv)
+validates against the schemas shipped under data/schemas/.
 """
 from __future__ import annotations
 
@@ -16,8 +16,9 @@ import argparse
 import json
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from . import bundled_path
 from .checker import check_all, export_smv, format_counterexample
@@ -102,6 +103,10 @@ class Config:
         for key in ("endpoint", "fixtures", "audit_log"):
             if not isinstance(self.client.get(key, ""), str):
                 raise ConfigError(f"client.{key} must be a string, got {self.client[key]!r}")
+        if "endpoint" in self.client:
+            url = urlsplit(self.client["endpoint"])  # a bad IPv6 host raises ValueError
+            if url.scheme not in ("http", "https") or not url.hostname:
+                raise ConfigError(f"client.endpoint must be an http(s) URL, got {self.client['endpoint']!r}")
         for label, path in (("vocabulary", self.vocabulary), ("specs", self.specs)):
             if not Path(path).exists():
                 raise ConfigError(f"{label} file does not exist: {path}")
@@ -110,11 +115,14 @@ class Config:
 def load_config(args: argparse.Namespace) -> Config:
     """Merge precedence: command-line flags > config file > defaults."""
     config = Config()
-    path = getattr(args, "config", None)
+    path = args.config
     if path:
         if not Path(path).exists():
             raise ConfigError(f"config file does not exist: {path}")
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config file must hold a JSON object: {path}")
         for key in ("t_p", "filter_mode", "seed", "client"):
@@ -126,19 +134,23 @@ def load_config(args: argparse.Namespace) -> Config:
                     raise ConfigError(f"{key} must be a path string, got {raw[key]!r}")
                 setattr(config, key, Path(raw[key]))
     for key in ("vocabulary", "specs"):
-        value = getattr(args, key.replace("-", "_"), None)
+        value = getattr(args, key, None)
         if value:
             setattr(config, key, Path(value))
     for key in ("t_p", "filter_mode", "seed"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(config, key, value)
+    for key in ("fixtures", "endpoint"):
+        value = getattr(args, key, None)
+        if value and isinstance(config.client, dict):  # validate rejects any other client
+            config.client = {**config.client, key: value}
     config.validate()
     return config
 
 
 def _emit(args, payload: dict | list, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     elif text:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -150,9 +162,9 @@ def _load_context(config: Config):
     return vocab, specs
 
 
-def _make_client(config: Config, args):
-    fixtures = getattr(args, "fixtures", None) or config.client.get("fixtures")
-    endpoint = getattr(args, "endpoint", None) or config.client.get("endpoint")
+def _make_client(config: Config):
+    fixtures = config.client.get("fixtures")
+    endpoint = config.client.get("endpoint")
     audit = config.client.get("audit_log")
     if fixtures:
         if not Path(fixtures).exists():
@@ -169,8 +181,7 @@ def _make_client(config: Config, args):
 
 
 def _read_objects(args) -> frozenset[str]:
-    raw = getattr(args, "objects", "") or ""
-    return frozenset(o.strip() for o in raw.split(",") if o.strip())
+    return frozenset(o.strip() for o in args.objects.split(",") if o.strip())
 
 
 def _structure_payload(structure) -> dict:
@@ -183,10 +194,9 @@ def _structure_payload(structure) -> dict:
 
 
 def _write_output(args, content: str) -> Path | None:
-    target = getattr(args, "output", None)
-    if target:
-        Path(target).write_text(content, encoding="utf-8")
-        return Path(target)
+    if args.output:
+        Path(args.output).write_text(content, encoding="utf-8")
+        return Path(args.output)
     return None
 
 
@@ -206,15 +216,7 @@ def cmd_check(args, config: Config) -> int:
         text += "\n" + "\n".join(cex_blocks)
     payload = {
         "verdicts": [
-            {
-                "name": name,
-                "holds": v.holds,
-                "counterexample": (
-                    None
-                    if v.holds
-                    else {"prefix": list(v.counterexample.prefix), "cycle": list(v.counterexample.cycle)}
-                ),
-            }
+            {"name": name, "holds": v.holds, "counterexample": None if v.holds else asdict(v.counterexample)}
             for name, v in results
         ]
     }
@@ -224,7 +226,7 @@ def cmd_check(args, config: Config) -> int:
 
 
 def cmd_encode(args, config: Config) -> int:
-    vocab, _ = _load_context(config)
+    vocab = Vocabulary.load(config.vocabulary)
     plan = Path(args.plan).read_text(encoding="utf-8")
     structure = encode(plan, vocab, _read_objects(args))
     payload = _structure_payload(structure)
@@ -255,9 +257,7 @@ def cmd_calibrate_decision(args, config: Config) -> int:
     dist, report = calibrate_decision(records, specs, vocab, filter_mode=config.filter_mode)
     dist.save(args.output)
     payload = {
-        "total": report.total,
-        "included": report.included,
-        "unencodable": report.unencodable,
+        **asdict(report),
         "excluded": report.excluded,
         "filter_mode": config.filter_mode,
         "output": str(args.output),
@@ -325,7 +325,7 @@ def cmd_refine(args, config: Config) -> int:
     images = [obs for scene in scenes for obs in scene.observations]
     with numbered_lines(args.tasks) as lines:
         tasks = list(lines)
-    client = _make_client(config, args)
+    client = _make_client(config)
     exhausted = False
     try:
         data, report = generate_refinement_dataset(
@@ -345,15 +345,7 @@ def cmd_refine(args, config: Config) -> int:
         exhausted = True
         print(f"budget exhausted: {exc}; wrote partial dataset", file=sys.stderr)
     save_refinement_dataset(args.output, data)
-    payload = {
-        "collected": report.collected,
-        "iterations": report.iterations,
-        "skipped_low_perception": report.skipped_low_perception,
-        "spec_failures": report.spec_failures,
-        "unencodable": report.unencodable,
-        "model_errors": report.model_errors,
-        "output": str(args.output),
-    }
+    payload = {**asdict(report), "output": str(args.output)}
     _emit(
         args,
         payload,
@@ -414,12 +406,7 @@ def cmd_sweep(args, config: Config) -> int:
     csv = sweep_to_csv(rows)
     payload = {
         "rows": [
-            {
-                "threshold": r.threshold,
-                "accuracy": r.accuracy,
-                "as_frequency": r.as_frequency,
-                "satisfy_prob": None if r.satisfy_prob != r.satisfy_prob else r.satisfy_prob,
-            }
+            {**asdict(r), "satisfy_prob": None if r.satisfy_prob != r.satisfy_prob else r.satisfy_prob}
             for r in rows
         ]
     }
@@ -432,59 +419,70 @@ def cmd_sweep(args, config: Config) -> int:
 # Parser
 # --------------------------------------------------------------------------
 
+# The flags that several commands share; each command takes only those its
+# ``cmd_*`` function reads, so argparse rejects the rest.
+_SHARED_FLAGS = {
+    "--vocabulary": {"help": "vocabulary file path"},
+    "--specs": {"help": "specification file path"},
+    "--t-p": {"type": float, "help": "perception threshold"},
+    "--filter-mode": {"choices": FILTER_MODES, "help": "calibration filter"},
+    "--seed": {"type": int, "help": "PRNG seed for sampling loops"},
+    "--json": {"action": "store_true", "help": "machine-readable output"},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plancheck",
         description="Verify plan texts against temporal-logic rules and calibrate model confidence.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None, help="JSON config file (flags override file values)")
-    common.add_argument("--vocabulary", default=None, help="vocabulary file path")
-    common.add_argument("--specs", default=None, help="specification file path")
-    common.add_argument("--t-p", dest="t_p", type=float, default=None, help="perception threshold")
-    common.add_argument("--filter-mode", choices=FILTER_MODES, default=None, help="calibration filter")
-    common.add_argument("--seed", type=int, default=None, help="PRNG seed for sampling loops")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+    def add(name, func, shared, summary):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
+        p.add_argument("--config", help="JSON config file (flags override file values)")
+        for flag in shared.split():
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         return p
 
-    p = add("check", cmd_check, help="verify a plan file against the specification set")
+    p = add("check", cmd_check, "--vocabulary --specs --json",
+            "verify a plan file against the specification set")
     p.add_argument("--plan", required=True)
     p.add_argument("--objects", default="", help="comma-separated observed object labels")
     p.add_argument("--output", help="also write the verdict table and counterexamples here")
 
-    p = add("encode", cmd_encode, help="dump the Kripke structure of a plan")
+    p = add("encode", cmd_encode, "--vocabulary --json", "dump the Kripke structure of a plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--objects", default="")
     p.add_argument("--output")
 
-    p = add("calibrate-perception", cmd_calibrate_perception, help="build the perception score distribution")
+    p = add("calibrate-perception", cmd_calibrate_perception, "--json",
+            "build the perception score distribution")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = add("calibrate-decision", cmd_calibrate_decision, help="verify records and build the decision distribution")
+    p = add("calibrate-decision", cmd_calibrate_decision, "--vocabulary --specs --filter-mode --json",
+            "verify records and build the decision distribution")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = add("score-perception", cmd_score_perception, help="score one confidence vector")
+    p = add("score-perception", cmd_score_perception, "--json", "score one confidence vector")
     p.add_argument("--dist", required=True)
     p.add_argument("--probs", required=True, help="space- or comma-separated probabilities")
 
-    p = add("score-decision", cmd_score_decision, help="score one satisfaction confidence")
+    p = add("score-decision", cmd_score_decision, "--json", "score one satisfaction confidence")
     p.add_argument("--dist", required=True)
     p.add_argument("--confidence", type=float, required=True)
     p.add_argument("--mode", choices=SCORE_MODES, default="confidence")
 
-    p = add("sense", cmd_sense, help="run active sensing over a scenario file")
+    p = add("sense", cmd_sense, "--t-p --json", "run active sensing over a scenario file")
     p.add_argument("--scenarios", required=True)
     p.add_argument("--dist", required=True)
     p.add_argument("--max-attempts", type=int, default=0, help="0 = as many as scripted")
 
-    p = add("refine", cmd_refine, help="generate a verified fine-tuning dataset")
+    p = add("refine", cmd_refine, "--vocabulary --specs --t-p --seed --json",
+            "generate a verified fine-tuning dataset")
     p.add_argument("--images", required=True, help="scenario file providing observations")
     p.add_argument("--tasks", required=True, help="task bank, one per line")
     p.add_argument("--dist", required=True, help="perception distribution file")
@@ -494,22 +492,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--output", required=True)
 
-    p = add("dpo", cmd_dpo, help="build preference pairs from assessed plan records")
+    p = add("dpo", cmd_dpo, "--vocabulary --specs --json",
+            "build preference pairs from assessed plan records")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
 
-    p = add("export-smv", cmd_export_smv, help="emit an SMV module for a plan")
+    p = add("export-smv", cmd_export_smv, "--vocabulary --specs", "emit an SMV module for a plan")
     p.add_argument("--plan", required=True)
     p.add_argument("--objects", default="")
     p.add_argument("--output")
 
-    p = add("qq", cmd_qq, help="quantile-quantile points for two score files")
+    p = add("qq", cmd_qq, "--json", "quantile-quantile points for two score files")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--points", type=int, default=21)
     p.add_argument("--output")
 
-    p = add("sweep", cmd_sweep, help="threshold study over a scenario corpus")
+    p = add("sweep", cmd_sweep, "--vocabulary --specs --json", "threshold study over a scenario corpus")
     p.add_argument("--scenarios", required=True)
     p.add_argument("--thresholds", default="0.5,0.6,0.7,0.8,0.9")
     p.add_argument("--dist-p", required=True)
@@ -525,9 +524,6 @@ def main(argv=None) -> int:
     try:
         config = load_config(args)
         return args.func(args, config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ClientError as exc:
         print(f"client error: {exc}", file=sys.stderr)
         return 3

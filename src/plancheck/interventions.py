@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -492,36 +492,17 @@ def load_scenarios(path: str | Path) -> list[Scenario]:
         return [_scenario_from_json(json.loads(line)) for line in lines]
 
 
+def _save_jsonl(path: str | Path, rows: Iterable) -> None:
+    """One JSON object per dataclass row, its fields in declaration order."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for row in rows:
+            handle.write(json.dumps(asdict(row)) + "\n")
+
+
 def save_refinement_dataset(path: str | Path, data: Iterable[RefinementDatum]) -> None:
     """Write the line-JSON training set; field order is fixed for determinism."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for datum in data:
-            handle.write(
-                json.dumps(
-                    {
-                        "image_id": datum.image_id,
-                        "task": datum.task,
-                        "plan": datum.plan,
-                        "u_p": datum.u_p,
-                        "verdicts": [[name, holds] for name, holds in datum.verdicts],
-                        "confidence": datum.confidence,
-                    }
-                )
-                + "\n"
-            )
+    _save_jsonl(path, data)
 
 
 def save_dpo_pairs(path: str | Path, pairs: Iterable[DpoPair]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(
-                json.dumps(
-                    {
-                        "image_id": pair.image_id,
-                        "task": pair.task,
-                        "chosen": pair.chosen,
-                        "rejected": pair.rejected,
-                    }
-                )
-                + "\n"
-            )
+    _save_jsonl(path, pairs)

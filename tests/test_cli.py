@@ -1,4 +1,5 @@
 """CLI subcommands: outputs, exit codes, config precedence, and JSON schemas."""
+import argparse
 import json
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import jsonschema
 import pytest
 
 from plancheck import bundled_path
-from plancheck.cli import main
+from plancheck.cli import build_parser, main
 from plancheck.logic import MAX_NESTING
 
 DATA = Path(__file__).parent / "data"
@@ -252,6 +253,43 @@ class TestRefine:
             outputs.append(target.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_dataset_matches_golden(self, capsys, dists, tmp_path):
+        target = tmp_path / "refine.jsonl"
+        code, _, _ = run(
+            capsys,
+            "refine",
+            "--specs", str(bundled_path("driving_gating_specs.txt")),
+            "--images", str(bundled_path("refine_images.jsonl")),
+            "--tasks", str(bundled_path("task_bank.txt")),
+            "--dist", str(dists[0]),
+            "--fixtures", str(bundled_path("replay_fixtures.jsonl")),
+            "--sample-size", "5",
+            "--budget", "40",
+            "--seed", "7",
+            "--output", str(target),
+        )
+        assert code == 0
+        assert target.read_bytes() == (DATA / "refine_golden.jsonl").read_bytes()
+
+    def test_endpoint_that_is_not_a_url_exits_two(self, capsys, dists, tmp_path):
+        target = tmp_path / "out.jsonl"
+        code, out, err = run(
+            capsys,
+            "refine",
+            "--specs", str(bundled_path("driving_gating_specs.txt")),
+            "--images", str(bundled_path("refine_images.jsonl")),
+            "--tasks", str(bundled_path("task_bank.txt")),
+            "--dist", str(dists[0]),
+            "--endpoint", "notaurl",
+            "--sample-size", "2",
+            "--budget", "6",
+            "--output", str(target),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: client.endpoint must be an http(s) URL, got 'notaurl'\n"
+        assert not target.exists()
+
     def test_budget_exhaustion_writes_partial_and_exits_one(self, capsys, dists, tmp_path):
         dist_p, _ = dists
         empty = tmp_path / "empty_fixtures.jsonl"
@@ -323,6 +361,22 @@ class TestDpo:
         pair = json.loads(target.read_text().splitlines()[0])
         assert pair["chosen"] == "1. Wait."
         assert pair["rejected"] == "1. Move forward at the red light."
+
+    def test_pairs_match_golden(self, capsys, tmp_path):
+        # The first six gating records: five compliant plans and one violating one.
+        lines = bundled_path("driving_gating_corpus.jsonl").read_text().splitlines(keepends=True)
+        source = tmp_path / "records.jsonl"
+        source.write_text("".join(lines[:6]))
+        target = tmp_path / "pairs.jsonl"
+        code, _, _ = run(
+            capsys,
+            "dpo",
+            "--specs", str(bundled_path("driving_gating_specs.txt")),
+            "--input", str(source),
+            "--output", str(target),
+        )
+        assert code == 0
+        assert target.read_bytes() == (DATA / "dpo_golden.jsonl").read_bytes()
 
 
 class TestExportSmv:
@@ -553,6 +607,9 @@ class TestConfigHandling:
             {"client": {"audit_log": {"path": "audit.jsonl"}}},
             {"specs": 7},
             ["t_p", 0.7],
+            {"client": {"endpoint": "notaurl"}},
+            {"client": {"endpoint": "ftp://host/"}},
+            {"client": {"endpoint": "http://[::1/"}},
         ],
     )
     def test_wrongly_typed_config_value_exits_two(self, capsys, tmp_path, raw):
@@ -587,6 +644,20 @@ class TestConfigHandling:
         assert err == "error: client.timeout must be a positive number, got [1]\n"
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("content", [b"{bad", b'{"t_p": "\xff"}'], ids=["not JSON", "not UTF-8"])
+    def test_malformed_config_file_is_named(self, capsys, tmp_path, content):
+        config = tmp_path / "config.json"
+        config.write_bytes(content)
+        code, out, err = run(
+            capsys,
+            "check",
+            "--config", str(config),
+            "--plan", str(bundled_path("demo_plan.txt")),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: config file {config} is not valid JSON: ")
+
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as info:
             main(["check"])  # --plan is required
@@ -597,6 +668,68 @@ class TestConfigHandling:
             main(["check", "--t-d", "0.7", "--plan", str(bundled_path("demo_plan.txt"))])
         assert info.value.code == 2
         assert "unrecognized arguments: --t-d" in capsys.readouterr().err
+
+
+# Each command's shared flags besides --config: the ones its cmd_* function reads.
+SHARED_FLAGS = {
+    "check": {"--vocabulary", "--specs", "--json"},
+    "encode": {"--vocabulary", "--json"},
+    "calibrate-perception": {"--json"},
+    "calibrate-decision": {"--vocabulary", "--specs", "--filter-mode", "--json"},
+    "score-perception": {"--json"},
+    "score-decision": {"--json"},
+    "sense": {"--t-p", "--json"},
+    "refine": {"--vocabulary", "--specs", "--t-p", "--seed", "--json"},
+    "dpo": {"--vocabulary", "--specs", "--json"},
+    "export-smv": {"--vocabulary", "--specs"},
+    "qq": {"--json"},
+    "sweep": {"--vocabulary", "--specs", "--json"},
+}
+
+
+class TestSharedFlags:
+    def options(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {flag for action in sub.choices[command]._actions for flag in action.option_strings}
+
+    def test_each_command_takes_the_shared_flags_it_reads(self):
+        shared = {"--config"}.union(*SHARED_FLAGS.values())
+        slots = 0
+        for command, flags in SHARED_FLAGS.items():
+            taken = self.options(command) & shared
+            assert taken == {"--config", *flags}, command
+            slots += len(taken)
+        assert slots == 40
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--t-p", "0.8", "--scenarios", "s.jsonl", "--dist-p", "p.txt", "--dist-d", "d.txt"],
+            ["check", "--seed", "1", "--plan", "plan.txt"],
+            ["export-smv", "--json", "--plan", "plan.txt"],
+        ],
+    )
+    def test_flag_the_command_does_not_read_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+
+    def test_encode_does_not_parse_the_specs(self, capsys, tmp_path):
+        specs = tmp_path / "specs.txt"
+        specs.write_text("broken: G (car &\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"specs": str(specs)}))
+        code, out, err = run(
+            capsys,
+            "encode",
+            "--config", str(config),
+            "--plan", str(bundled_path("demo_plan.txt")),
+            "--objects", "car,truck",
+        )
+        assert (code, err) == (0, "")
+        assert out == (DATA / "demo_structure.txt").read_text()
 
 
 def nested(shape: str, levels: int) -> str:

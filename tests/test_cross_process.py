@@ -64,6 +64,11 @@ def commands():
             "--sample-size", "5", "--budget", "40", "--seed", "7",
             "--output", "dataset.jsonl", "--json",
         ], 0),
+        ("dpo.out", [
+            "dpo", *gating,
+            "--input", str(bundled_path("driving_gating_corpus.jsonl")),
+            "--output", "pairs.jsonl", "--json",
+        ], 0),
     ]
 
 
@@ -82,7 +87,7 @@ def test_cli_outputs_match_across_hash_seeds(tmp_path):
     first = run_all(tmp_path / "seed0", "0")
     second = run_all(tmp_path / "seed1", "1")
     expected = {name for name, _, _ in commands()}
-    expected |= {"dist_p.txt", "dist_d.txt", "sweep.csv", "dataset.jsonl"}
+    expected |= {"dist_p.txt", "dist_d.txt", "sweep.csv", "dataset.jsonl", "pairs.jsonl"}
     assert set(first) == expected
     for name, _, code in commands():
         assert first[name].startswith(f"exit {code}\n".encode()), first[name][:200]
