@@ -15,10 +15,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from urllib.parse import urlsplit
 
 from . import bundled_path
 from .checker import check_all, export_smv, format_counterexample
@@ -28,6 +26,8 @@ from .clients import (
     ClientError,
     HttpModelClient,
     ReplayModelClient,
+    check_endpoint,
+    check_timeout_and_retries,
 )
 from .conformal import (
     NonconformityDistribution,
@@ -51,7 +51,6 @@ from .fmdp import (
 from .inputs import _STR, _field, numbered_lines
 from .interventions import (
     BudgetExhaustedError,
-    ReplayObservationProvider,
     active_sense,
     dpo_pairs,
     generate_refinement_dataset,
@@ -90,23 +89,17 @@ class Config:
             raise ConfigError(f"filter_mode must be {modes}, got {self.filter_mode!r}")
         if not isinstance(self.client, dict):
             raise ConfigError(f"client must be an object, got {self.client!r}")
-        timeout = self.client.get("timeout", DEFAULT_TIMEOUT)
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0:
-            raise ConfigError(f"client.timeout must be a positive number, got {timeout!r}")
-        if timeout > threading.TIMEOUT_MAX:  # the most a socket timeout can hold
-            raise ConfigError(
-                f"client.timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {timeout!r}"
+        try:
+            check_timeout_and_retries(
+                self.client.get("timeout", DEFAULT_TIMEOUT), self.client.get("retries", DEFAULT_RETRIES)
             )
-        retries = self.client.get("retries", DEFAULT_RETRIES)
-        if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
-            raise ConfigError(f"client.retries must be an integer >= 0, got {retries!r}")
-        for key in ("endpoint", "fixtures", "audit_log"):
-            if not isinstance(self.client.get(key, ""), str):
-                raise ConfigError(f"client.{key} must be a string, got {self.client[key]!r}")
-        if "endpoint" in self.client:
-            url = urlsplit(self.client["endpoint"])  # a bad IPv6 host raises ValueError
-            if url.scheme not in ("http", "https") or not url.hostname:
-                raise ConfigError(f"client.endpoint must be an http(s) URL, got {self.client['endpoint']!r}")
+            for key in ("endpoint", "fixtures", "audit_log"):
+                if not isinstance(self.client.get(key, ""), str):
+                    raise ValueError(f"{key} must be a string, got {self.client[key]!r}")
+            if "endpoint" in self.client:
+                check_endpoint(self.client["endpoint"])
+        except ValueError as exc:
+            raise ConfigError(f"client.{exc}") from exc
         for label, path in (("vocabulary", self.vocabulary), ("specs", self.specs)):
             if not Path(path).exists():
                 raise ConfigError(f"{label} file does not exist: {path}")
@@ -171,12 +164,8 @@ def _make_client(config: Config):
             raise ConfigError(f"fixture file does not exist: {fixtures}")
         return ReplayModelClient(fixtures, audit_path=audit)
     if endpoint:
-        return HttpModelClient(
-            endpoint,
-            timeout=config.client.get("timeout", DEFAULT_TIMEOUT),
-            retries=config.client.get("retries", DEFAULT_RETRIES),
-            audit_path=audit,
-        )
+        settings = {key: config.client[key] for key in ("timeout", "retries") if key in config.client}
+        return HttpModelClient(endpoint, audit_path=audit, **settings)
     raise ConfigError("no model client configured: pass --fixtures or --endpoint")
 
 
@@ -295,9 +284,8 @@ def cmd_sense(args, config: Config) -> int:
     outcomes = []
     lines = []
     for scene in scenes:
-        provider = ReplayObservationProvider(scene.observations)
         max_attempts = args.max_attempts or len(scene.observations)
-        outcome = active_sense(provider, dist, config.t_p, max_attempts)
+        outcome = active_sense(scene.observations, dist, config.t_p, max_attempts)
         outcomes.append(
             {
                 "scene_id": scene.scene_id,

@@ -23,6 +23,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from itertools import count
 from pathlib import Path
 from typing import Any, Iterable
+from urllib.parse import urlsplit
 
 import requests
 
@@ -137,6 +138,26 @@ class ReplayModelClient:
         return reply
 
 
+def check_endpoint(url: str) -> None:
+    """Raise ValueError unless ``url`` is an http(s) URL with a host."""
+    try:
+        parts = urlsplit(url) if isinstance(url, str) else None
+    except ValueError:  # a bad IPv6 host
+        parts = None
+    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ValueError(f"endpoint must be an http(s) URL, got {url!r}")
+
+
+def check_timeout_and_retries(timeout: float, retries: int) -> None:
+    """Raise ValueError unless a socket can take ``timeout`` and ``retries`` is a count."""
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not timeout > 0:
+        raise ValueError(f"timeout must be a positive number, got {timeout!r}")
+    if timeout > threading.TIMEOUT_MAX:  # the most a socket timeout can hold
+        raise ValueError(f"timeout must be at most {threading.TIMEOUT_MAX:.0f} s, got {timeout!r}")
+    if isinstance(retries, bool) or not isinstance(retries, int) or retries < 0:
+        raise ValueError(f"retries must be an integer >= 0, got {retries!r}")
+
+
 class HttpModelClient:
     """JSON-over-HTTP client with retries and jittered backoff.
 
@@ -154,6 +175,8 @@ class HttpModelClient:
         audit_path: str | Path | None = None,
         session: requests.Session | None = None,
     ):
+        check_endpoint(base_url)
+        check_timeout_and_retries(timeout, retries)
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.base_url = base_url

@@ -1,12 +1,12 @@
 """Uncertainty-driven interventions: active sensing and refinement data generation.
 
-Active sensing pulls observations from a provider until one reaches the
-perception threshold; the provider contract abstracts how a robot re-observes
-(rotate, switch camera, recapture) and the bundled providers replay scripted
-sequences.  Refinement generation samples (image, task) pairs with a seeded
-PRNG, skips high-uncertainty images, queries the model, verifies the plan, and
-keeps only fully compliant data — so the emitted dataset needs no human labels
-and every datum re-verifies.
+Active sensing pulls observations from any iterable, one per attempt, until
+one reaches the perception threshold: a scripted scene is a list of
+observations, and a robot's re-observation loop (rotate, switch camera,
+recapture) is a generator.  Refinement generation samples (image, task) pairs
+with a seeded PRNG, skips high-uncertainty images, queries the model, verifies
+the plan, and keeps only fully compliant data — so the emitted dataset needs
+no human labels and every datum re-verifies.
 
 Image-level perception score aggregates per-detection scores with ``min``:
 the bound covers identifying *all* objects, and min never overstates certainty
@@ -33,7 +33,7 @@ class NoPairsError(ValueError):
 
 
 class ObservationProviderError(RuntimeError):
-    """Provider failed while pulling an observation; carries the attempt number."""
+    """Pulling an observation failed; carries the attempt number."""
 
     def __init__(self, message: str, attempt: int):
         super().__init__(message)
@@ -57,6 +57,11 @@ class Detection:
     probs: tuple[float, ...]
     true_label: int | None = None
 
+    def __post_init__(self):
+        n = len(self.probs)
+        if self.true_label is not None and not 0 <= self.true_label < n:
+            raise ValueError(f"true_label {self.true_label} out of range for {n} classes")
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -70,21 +75,6 @@ class Observation:
 
     def reported_labels(self) -> frozenset[str]:
         return frozenset(d.label_hypothesis for d in self.detections)
-
-
-class ReplayObservationProvider:
-    """File-backed provider: yields scripted observations in order, then exhausts."""
-
-    def __init__(self, observations: Iterable[Observation]):
-        self._observations = list(observations)
-        self._cursor = 0
-
-    def next_observation(self) -> Observation | None:
-        if self._cursor >= len(self._observations):
-            return None
-        obs = self._observations[self._cursor]
-        self._cursor += 1
-        return obs
 
 
 @dataclass(frozen=True)
@@ -167,40 +157,40 @@ def image_uncertainty(obs: Observation, dist: NonconformityDistribution) -> floa
 
 
 def active_sense(
-    provider,
+    observations: Iterable[Observation],
     dist: NonconformityDistribution,
     t_p: float,
     max_attempts: int,
 ) -> SensingOutcome:
     """Re-observe until an image clears the perception threshold.
 
-    Returns the first passing observation (no best-of search); exhausts after
-    ``max_attempts`` pulls or when the provider runs dry.
+    Pulls one observation per attempt, never ahead, and returns the first
+    passing one (no best-of search); exhausts after ``max_attempts`` pulls or
+    when ``observations`` runs dry.
     """
     if not 0.0 <= t_p <= 1.0:
         raise ValueError(f"perception threshold must lie in [0, 1], got {t_p}")
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    attempts = 0
+    pulls = iter(observations)
     best: float | None = None
-    while attempts < max_attempts:
+    for attempt in range(1, max_attempts + 1):
         try:
-            obs = provider.next_observation()
+            obs = next(pulls)
+        except StopIteration:
+            return SensingOutcome(accepted=False, attempts=attempt - 1, best_score=best)
         except Exception as exc:
             raise ObservationProviderError(
-                f"observation pull failed on attempt {attempts + 1}: {exc}", attempts + 1
+                f"observation pull failed on attempt {attempt}: {exc}", attempt
             ) from exc
-        if obs is None:
-            break
-        attempts += 1
         score = image_uncertainty(obs, dist)
         if best is None or score > best:
             best = score
         if score >= t_p:
             return SensingOutcome(
-                accepted=True, attempts=attempts, observation=obs, score=score, best_score=best
+                accepted=True, attempts=attempt, observation=obs, score=score, best_score=best
             )
-    return SensingOutcome(accepted=False, attempts=attempts, best_score=best)
+    return SensingOutcome(accepted=False, attempts=max_attempts, best_score=best)
 
 
 def _query_chain(client, image: str, task: str, specs_text: str) -> tuple[str, float]:
@@ -450,10 +440,7 @@ def _observation_from_json(obj, scene_id: str, index: int) -> Observation:
         try:
             label = _field(d, "label_hypothesis", _STR)
             probs = tuple(map(float, _items(d, "probs", _NUMBER)))
-            true_label = _field(d, "true_label", _INT, None)
-            if true_label is not None and not 0 <= true_label < len(probs):
-                raise ValueError(f"true_label {true_label} out of range for {len(probs)} classes")
-            detections.append(Detection(label, probs, true_label))
+            detections.append(Detection(label, probs, _field(d, "true_label", _INT, None)))
         except ValueError as exc:
             raise ValueError(f"detection {j}: {exc}") from exc
     return Observation(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .logic import KripkeStructure, Vocabulary
+from .logic import _WORD, KripkeStructure, Vocabulary
 
 NEGATION_CUES = frozenset({"no", "not", "never", "without"})
 DEFAULT_NEGATION_WINDOW = 3
@@ -32,7 +32,6 @@ DEFAULT_NEGATION_WINDOW = 3
 _STEP_MARKER = re.compile(r"(?m)(?:^[ \t]*|(?<=[.!?])\s+)\d+\.[ \t]+")
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 _CLAUSE_SPLIT = re.compile(r"[,;:]")
-_WORD = re.compile(r"[a-z0-9']+")
 # Found in every clause that holds a cue token ("not" contains "no").
 _CUE_SUBSTRING = re.compile(r"no|n't|never|without")
 

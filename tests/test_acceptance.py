@@ -26,7 +26,6 @@ from plancheck.conformal import NonconformityDistribution, qq_points
 from plancheck.fmdp import PlanRecord, decision_score, execution_gate, verify_plan
 from plancheck.interventions import (
     BudgetExhaustedError,
-    ReplayObservationProvider,
     active_sense,
     generate_refinement_dataset,
     image_uncertainty,
@@ -208,16 +207,14 @@ def test_criterion_07_active_sensing_contract(
             observation_with_scores(staircase_dist, [rng.choice(grid)]) for _ in range(4)
         ]
         t_p = rng.choice(grid)
-        outcome = active_sense(
-            ReplayObservationProvider(observations), staircase_dist, t_p, max_attempts=4
-        )
+        outcome = active_sense(observations, staircase_dist, t_p, max_attempts=4)
         if outcome.accepted:
             accepted += 1
             assert outcome.score >= t_p
     assert accepted > 0
     # exhaustion is reported when nothing qualifies
     low = [observation_with_scores(staircase_dist, [0.3]) for _ in range(3)]
-    outcome = active_sense(ReplayObservationProvider(low), staircase_dist, 0.9, max_attempts=3)
+    outcome = active_sense(low, staircase_dist, 0.9, max_attempts=3)
     assert not outcome.accepted and outcome.attempts == 3 and outcome.best_score == 0.3
     # sweep over the bundled corpus: nondecreasing frequency, table-schema CSV
     thresholds = [0.5, 0.6, 0.7, 0.8, 0.9]

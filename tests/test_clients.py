@@ -224,6 +224,34 @@ class TestHttpClient:
             with pytest.raises(TransportError):
                 query_plan(client, "img_007", "turn right at the traffic light")
 
+    @pytest.mark.parametrize(
+        "url, settings, named",
+        [
+            ("notaurl", {}, "endpoint"),
+            ("ftp://host/", {}, "endpoint"),
+            ("http://", {}, "endpoint"),
+            ("http://[::1/", {}, "endpoint"),
+            (None, {}, "endpoint"),
+            ("http://127.0.0.1:9/", {"timeout": -1}, "timeout"),
+            ("http://127.0.0.1:9/", {"timeout": 0}, "timeout"),
+            ("http://127.0.0.1:9/", {"timeout": True}, "timeout"),
+            ("http://127.0.0.1:9/", {"timeout": "30"}, "timeout"),
+            ("http://127.0.0.1:9/", {"timeout": float("nan")}, "timeout"),
+            ("http://127.0.0.1:9/", {"timeout": float("inf")}, "timeout"),
+            ("http://127.0.0.1:9/", {"retries": "2"}, "retries"),
+            ("http://127.0.0.1:9/", {"retries": 1.0}, "retries"),
+            ("http://127.0.0.1:9/", {"retries": False}, "retries"),
+            ("http://127.0.0.1:9/", {"retries": -1}, "retries"),
+        ],
+    )
+    def test_bad_setting_rejected_at_construction(self, url, settings, named):
+        with pytest.raises(ValueError, match=f"^{named} must be"):
+            HttpModelClient(url, **settings)
+
+    def test_good_settings_accepted(self):
+        client = HttpModelClient("https://model.example:8443/v1", timeout=1, retries=0)
+        assert (client.timeout, client.retries) == (1, 0)
+
 
 class TestAuditLog:
     def test_replay_appends_line_per_request(self, tmp_path):

@@ -1,5 +1,6 @@
 """Active sensing, refinement data generation, DPO pairs, and threshold sweeps."""
 import dataclasses
+import itertools
 import json
 import random
 
@@ -18,7 +19,6 @@ from plancheck.interventions import (
     DpoPair,
     NoPairsError,
     Observation,
-    ReplayObservationProvider,
     Scenario,
     SweepRow,
     active_sense,
@@ -55,6 +55,11 @@ class TestImageUncertainty:
         with pytest.raises(ValueError):
             Observation("img", ())
 
+    def test_true_label_must_name_a_class(self):
+        assert Detection("car", (0.6, 0.4), true_label=1).true_label == 1
+        with pytest.raises(ValueError, match="true_label 2 out of range for 2 classes"):
+            Detection("car", (0.6, 0.4), true_label=2)
+
 
 class TestActiveSense:
     def test_accepts_first_passing_observation(self, staircase_dist):
@@ -63,64 +68,100 @@ class TestActiveSense:
             for i, s in enumerate([0.6, 0.6, 0.8])
         ]
         # staircase steps are tenths; 0.6, 0.6, 0.8 straddle a 0.7 threshold
-        outcome = active_sense(
-            ReplayObservationProvider(observations), staircase_dist, 0.7, max_attempts=10
-        )
+        outcome = active_sense(observations, staircase_dist, 0.7, max_attempts=10)
         assert outcome.accepted and outcome.attempts == 3
         assert outcome.observation.image_id == "img2"
         assert outcome.score >= 0.7
 
     def test_immediate_accept(self, staircase_dist):
         observations = [observation_with_scores(staircase_dist, [0.9])]
-        outcome = active_sense(
-            ReplayObservationProvider(observations), staircase_dist, 0.7, max_attempts=5
-        )
+        outcome = active_sense(observations, staircase_dist, 0.7, max_attempts=5)
         assert outcome.accepted and outcome.attempts == 1
 
     def test_exhaustion_reports_best_seen(self, staircase_dist):
         observations = [
             observation_with_scores(staircase_dist, [s]) for s in (0.3, 0.6, 0.5, 0.4, 0.2, 0.6)
         ]
-        outcome = active_sense(
-            ReplayObservationProvider(observations), staircase_dist, 0.9, max_attempts=5
-        )
+        outcome = active_sense(observations, staircase_dist, 0.9, max_attempts=5)
         assert not outcome.accepted
         assert outcome.attempts == 5
         assert outcome.best_score == 0.6
 
     def test_provider_exhaustion(self, staircase_dist):
         observations = [observation_with_scores(staircase_dist, [0.5])]
-        outcome = active_sense(
-            ReplayObservationProvider(observations), staircase_dist, 0.9, max_attempts=5
-        )
+        outcome = active_sense(observations, staircase_dist, 0.9, max_attempts=5)
         assert not outcome.accepted and outcome.attempts == 1
 
     def test_threshold_validation(self, staircase_dist):
-        provider = ReplayObservationProvider([])
         with pytest.raises(ValueError):
-            active_sense(provider, staircase_dist, 1.2, max_attempts=1)
+            active_sense([], staircase_dist, 1.2, max_attempts=1)
         with pytest.raises(ValueError):
-            active_sense(provider, staircase_dist, 0.5, max_attempts=0)
+            active_sense([], staircase_dist, 0.5, max_attempts=0)
 
     def test_provider_errors_carry_attempt_context(self, staircase_dist):
         from plancheck.interventions import ObservationProviderError
 
-        class FlakyProvider:
-            def __init__(self, observations):
-                self._inner = ReplayObservationProvider(observations)
-                self.pulls = 0
+        def flaky():
+            yield observation_with_scores(staircase_dist, [0.3])
+            raise OSError("camera offline")
 
-            def next_observation(self):
-                self.pulls += 1
-                if self.pulls == 2:
-                    raise OSError("camera offline")
-                return self._inner.next_observation()
-
-        provider = FlakyProvider([observation_with_scores(staircase_dist, [0.3])] * 3)
         with pytest.raises(ObservationProviderError) as info:
-            active_sense(provider, staircase_dist, 0.9, max_attempts=5)
+            active_sense(flaky(), staircase_dist, 0.9, max_attempts=5)
         assert info.value.attempt == 2
         assert "attempt 2" in str(info.value)
+
+    @pytest.mark.parametrize("t_p", [0.7, 0.9])
+    def test_same_outcome_over_list_tuple_and_generator(self, staircase_dist, t_p):
+        observations = [observation_with_scores(staircase_dist, [s]) for s in (0.3, 0.6, 0.8, 0.5)]
+        outcomes = [
+            active_sense(scripted, staircase_dist, t_p, max_attempts=10)
+            for scripted in (observations, tuple(observations), (obs for obs in observations))
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize(
+        "scores, max_attempts, accepted",
+        [((0.3, 0.8, 0.9, 0.9), 10, True), ((0.3, 0.5, 0.4, 0.6, 0.9), 3, False)],
+        ids=["accepted", "exhausted"],
+    )
+    def test_pulls_one_observation_per_attempt(self, staircase_dist, scores, max_attempts, accepted):
+        pulls = 0
+
+        def counted():
+            nonlocal pulls
+            for score in scores:
+                pulls += 1
+                yield observation_with_scores(staircase_dist, [score])
+
+        outcome = active_sense(counted(), staircase_dist, 0.7, max_attempts=max_attempts)
+        assert outcome.accepted is accepted
+        assert pulls == outcome.attempts
+
+    def test_endless_observations_stop_at_max_attempts(self, staircase_dist):
+        pulls = 0
+
+        def endless():
+            nonlocal pulls
+            for obs in itertools.repeat(observation_with_scores(staircase_dist, [0.3])):
+                pulls += 1
+                yield obs
+
+        outcome = active_sense(endless(), staircase_dist, 0.9, max_attempts=4)
+        assert not outcome.accepted and outcome.attempts == 4
+        assert pulls == 4
+
+    @pytest.mark.parametrize("t_p, max_attempts", [(1.2, 1), (-0.1, 1), (0.5, 0)])
+    def test_invalid_arguments_raise_before_the_first_pull(self, staircase_dist, t_p, max_attempts):
+        pulls = 0
+
+        def counted():
+            nonlocal pulls
+            pulls += 1
+            yield observation_with_scores(staircase_dist, [0.9])
+
+        with pytest.raises(ValueError):
+            active_sense(counted(), staircase_dist, t_p, max_attempts=max_attempts)
+        assert pulls == 0
 
     def test_accepted_scores_never_below_threshold(self, staircase_dist):
         rng = random.Random(13)
@@ -130,9 +171,7 @@ class TestActiveSense:
                 observation_with_scores(staircase_dist, [rng.choice(grid)]) for _ in range(5)
             ]
             t_p = rng.choice(grid)
-            outcome = active_sense(
-                ReplayObservationProvider(observations), staircase_dist, t_p, max_attempts=5
-            )
+            outcome = active_sense(observations, staircase_dist, t_p, max_attempts=5)
             if outcome.accepted:
                 assert outcome.score >= t_p
 
@@ -253,6 +292,18 @@ class TestRefinementGeneration:
                 save_refinement_dataset(path, data)
                 outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_unusable_endpoint_fails_before_drawing_a_pair(self, refine_setup, monkeypatch):
+        import plancheck.interventions as interventions
+        from plancheck.clients import HttpModelClient
+
+        images, tasks, _, vocab, specs, dist = refine_setup
+        monkeypatch.setattr(interventions, "image_uncertainty", lambda *_: pytest.fail("drew a pair"))
+        with pytest.raises(ValueError, match="endpoint must be an http"):
+            generate_refinement_dataset(
+                tasks, images, HttpModelClient("notaurl"), vocab, specs, dist,
+                sample_size=2, t_p=0.7, budget=6, seed=0,
+            )
 
     def test_budget_exhaustion_carries_partial(self, refine_setup):
         images, tasks, client, vocab, specs, dist = refine_setup
@@ -411,7 +462,7 @@ def reference_sweep(scenes, thresholds, dist_p, dist_d, specs, vocab):
         accuracies, extra, executed_ok = [], [], []
         for scene in scenes:
             outcome = active_sense(
-                ReplayObservationProvider(scene.observations), dist_p, t,
+                scene.observations, dist_p, t,
                 max_attempts=len(scene.observations),
             )
             settled = outcome.observation or scene.observations[outcome.attempts - 1]
@@ -502,7 +553,7 @@ class TestSweepEquivalence:
 
         def pulled(scene, t):
             outcome = active_sense(
-                ReplayObservationProvider(scene.observations), dist_p, t,
+                scene.observations, dist_p, t,
                 max_attempts=len(scene.observations),
             )
             return sum(len(obs.detections) for obs in scene.observations[: outcome.attempts])
